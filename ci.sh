@@ -19,12 +19,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> panic-free library check (crates/sched, crates/alloc)"
+echo "==> panic-free library check (crates/sched, crates/alloc, crates/ctrl)"
 # Library code on the synthesis path must report errors, never panic
 # (DESIGN.md §6). Strip line comments, keep only the text above any
 # #[cfg(test)] marker, and fail on panicking constructs.
 panic_check_failed=0
-for f in crates/sched/src/*.rs crates/alloc/src/*.rs; do
+for f in crates/sched/src/*.rs crates/alloc/src/*.rs crates/ctrl/src/*.rs; do
     hits=$(awk '/#\[cfg\(test\)\]/ { exit } { sub(/\/\/.*/, ""); print }' "$f" \
         | grep -nE 'panic!|\.unwrap\(\)|unreachable!' || true)
     if [ -n "$hits" ]; then

@@ -17,6 +17,12 @@
 //! the gate when the 4×-ops step from `synth-16384` to `synth-65536`
 //! costs more than [`MAX_HFORCE_SCALING_RATIO`]× — a quadratic
 //! regression (the flat scheduler's behavior) would cost ≥16×.
+//!
+//! The control tier (`ctrl/hardwired/synth-*`) times hardwired control
+//! logic alone. It has no scaling check: exact two-level minimization
+//! enumerates every implicant of each function, so its cost grows
+//! superlinearly (about 7× per 4× ops here), and only the relative gate
+//! holds it.
 
 use std::collections::BTreeMap;
 
@@ -26,7 +32,7 @@ use hls_alloc::{
 };
 use hls_cdfg::{Cdfg, Region};
 use hls_core::{pareto_front, ControlStyle, Estimator, Explorer, GridSpec, Synthesizer};
-use hls_ctrl::EncodingStyle;
+use hls_ctrl::{hardwired_logic, EncodingStyle};
 use hls_sched::{
     force_directed_schedule, freedom_based_schedule, hier_force_schedule, list_schedule,
     precedence, Algorithm, FuClass, OpClassifier, Priority, ResourceLimits, DEFAULT_WINDOW,
@@ -61,6 +67,8 @@ pub struct SuiteSizes {
     pub alloc_fu: usize,
     /// Ops in the pruned-vs-exhaustive exploration DAG.
     pub explore_ops: usize,
+    /// Ops per hardwired-control tier entry.
+    pub ctrl: Vec<usize>,
 }
 
 /// The CI gate workloads (the sizes behind `BENCH_5.json`).
@@ -72,6 +80,7 @@ pub fn gate_sizes() -> SuiteSizes {
         clique_n: 64,
         alloc_fu: 192,
         explore_ops: 256,
+        ctrl: vec![512, 2048],
     }
 }
 
@@ -85,6 +94,7 @@ pub fn smoke_sizes() -> SuiteSizes {
         clique_n: 12,
         alloc_fu: 16,
         explore_ops: 16,
+        ctrl: vec![16, 32],
     }
 }
 
@@ -292,6 +302,26 @@ pub fn build_suite(sizes: &SuiteSizes) -> Vec<SuiteEntry> {
         },
     ));
 
+    // Hardwired control logic: state encoding plus two-level
+    // minimization of every next-state and output function, on the
+    // controller the default flow builds for a one-block DAG (256 and
+    // 1017 states at the gate sizes, both within exact minimization).
+    for &ops in &sizes.ctrl {
+        let fsm = Synthesizer::new()
+            .synthesize(single_block_cdfg(synth_dag(ops)))
+            .expect("synthesizes")
+            .fsm;
+        entries.push(SuiteEntry::new(
+            format!("ctrl/hardwired/synth-{ops}"),
+            move || {
+                std::hint::black_box(
+                    hardwired_logic(&fsm, EncodingStyle::Binary).expect("encodes"),
+                );
+                1
+            },
+        ));
+    }
+
     // Allocation.
     let compat = random_compat_graph(sizes.clique_n, 50, 0xC11D);
     let c = compat.clone();
@@ -459,6 +489,8 @@ mod tests {
             "sched/hforce/synth-65536",
             "sched/estimate/synth-2048",
             "explore/pruned-vs-exhaustive/synth-256",
+            "ctrl/hardwired/synth-512",
+            "ctrl/hardwired/synth-2048",
             "alloc/clique-exact/rand-64",
             "alloc/clique-tseng/rand-64",
             "alloc/lifetime/synth-2048",
@@ -467,7 +499,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected.to_string()), "missing {expected}");
         }
-        assert_eq!(names.len(), 15, "suite drifted: {names:?}");
+        assert_eq!(names.len(), 17, "suite drifted: {names:?}");
     }
 
     #[test]

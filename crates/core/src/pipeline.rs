@@ -437,7 +437,9 @@ impl Synthesizer {
                 }
             }
         };
+        stage_nanos.control = elapsed_nanos(t0);
         cancel.check("control")?;
+        let t0 = Instant::now();
         let netlist = datapath.to_netlist(cdfg, &self.library)?;
         let area = estimate(&netlist, &self.library);
         stage_nanos.rtl = elapsed_nanos(t0);
@@ -496,8 +498,7 @@ impl PreparedBehavior {
 }
 
 /// Wall-clock time spent in each back-half pipeline stage, in
-/// nanoseconds. `rtl` covers controller synthesis plus netlist emission
-/// and area estimation. Timings ride along on [`SynthesisResult`] for
+/// nanoseconds. Timings ride along on [`SynthesisResult`] for
 /// observability (e.g. the server's per-stage counters); they are never
 /// part of response bodies or fingerprints, which stay deterministic.
 #[derive(Clone, Copy, Debug, Default)]
@@ -506,7 +507,10 @@ pub struct StageNanos {
     pub schedule: u64,
     /// Data-path allocation and binding.
     pub allocate: u64,
-    /// Controller synthesis, netlist emission, area estimation.
+    /// Controller synthesis: FSM construction plus hardwired logic or
+    /// microcode.
+    pub control: u64,
+    /// Netlist emission and area estimation.
     pub rtl: u64,
 }
 

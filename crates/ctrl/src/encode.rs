@@ -1,9 +1,9 @@
 //! State encoding and hardwired control-logic estimation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::fsm::{Cond, Fsm};
-use crate::logic::{minimize, Cover};
+use crate::fsm::{unknown_flag, Cond, Fsm};
+use crate::logic::{DontCares, MAX_INPUTS};
 use crate::CtrlError;
 
 /// The state-encoding style.
@@ -54,7 +54,7 @@ pub fn encode_states(fsm: &Fsm, style: EncodingStyle) -> Encoding {
         EncodingStyle::OneHot => Encoding {
             style,
             bits: n as u32,
-            codes: (0..n).map(|i| 1u64 << i).collect(),
+            codes: (0..n as u32).map(|i| 1u64.wrapping_shl(i)).collect(),
         },
         EncodingStyle::Gray => {
             let bits = (usize::BITS - (n - 1).leading_zeros()).max(1);
@@ -82,17 +82,19 @@ pub struct HardwiredReport {
     pub literals: u64,
 }
 
-/// Maximum state+flag input bits for exact minimization; larger
-/// controllers fall back to an unminimized estimate.
-const EXACT_LIMIT: u32 = 10;
-
-/// Maximum care+don't-care minterms handed to Quine–McCluskey per output.
+/// Maximum care+don't-care minterms handed to Quine–McCluskey per output;
+/// larger functions fall back to an unminimized estimate, as do
+/// functions of more than [`MAX_INPUTS`] state and flag bits.
 const EXACT_MINTERM_LIMIT: usize = 600;
 
 /// Synthesizes the hardwired control logic: next-state and output
 /// functions of the encoded FSM, each minimized with Quine–McCluskey.
 ///
 /// Inputs to every function are the state bits plus the condition flags.
+/// Signals and flags are interned to indices and every on-set is built in
+/// one pass over the states. All functions share one [`DontCares`]
+/// lattice (the unused state codes), and functions with the same on-set
+/// are minimized once.
 ///
 /// # Errors
 ///
@@ -100,116 +102,111 @@ const EXACT_MINTERM_LIMIT: usize = 600;
 pub fn hardwired_logic(fsm: &Fsm, style: EncodingStyle) -> Result<HardwiredReport, CtrlError> {
     fsm.validate()?;
     let enc = encode_states(fsm, style);
-    let flags: Vec<&String> = fsm.flags.iter().collect();
-    let inputs = enc.bits + flags.len() as u32;
-    let signals: Vec<String> = fsm.signal_set().into_iter().collect();
+    let inputs = enc.bits + fsm.flags.len() as u32;
+    let flag_index: BTreeMap<&str, u32> = fsm
+        .flags
+        .iter()
+        .zip(0..)
+        .map(|(f, i)| (f.as_str(), i))
+        .collect();
+    // Outputs are numbered in first-seen order; the totals do not depend
+    // on the order.
+    let mut signal_index: HashMap<&str, usize> = HashMap::new();
 
-    // Truth rows: (input vector, next code, asserted signal indices).
-    // Input vector = state code | flags << state_bits.
-    let mut rows: Vec<(u64, u64, Vec<usize>)> = Vec::new();
+    // On-sets of the next-state bits and the outputs. A truth row's input
+    // vector is the state code with the flags above it; a state has one
+    // row per value of the flags its own guards test, and reads the other
+    // flags as 0.
+    let mut next_on: Vec<Vec<u64>> = vec![Vec::new(); enc.bits as usize];
+    let mut out_on: Vec<Vec<u64>> = Vec::new();
+    // The shifts wrap: the one-hot codes of more than 64 states do not
+    // fit a `u64`. Such controllers are past `MAX_INPUTS`, so only their
+    // on-set sizes count, and the wrapping keeps them from panicking.
     for (s, state) in fsm.states.iter().enumerate() {
-        let sig_idx: Vec<usize> = signals
+        // Guards as (flag, required value), `None` for always.
+        let mut guards = Vec::with_capacity(state.transitions.len());
+        for t in &state.transitions {
+            let guard = match &t.cond {
+                Cond::Always => None,
+                Cond::IsTrue(f) | Cond::IsFalse(f) => {
+                    let i = flag_index
+                        .get(f.as_str())
+                        .copied()
+                        .ok_or_else(|| unknown_flag(state, f))?;
+                    Some((i, matches!(t.cond, Cond::IsTrue(_))))
+                }
+            };
+            guards.push((guard, t.to));
+        }
+        let tested: BTreeSet<u32> = guards.iter().filter_map(|(g, _)| g.map(|g| g.0)).collect();
+        let signals: Vec<usize> = state
+            .signals
             .iter()
-            .enumerate()
-            .filter(|(_, name)| state.signals.contains(*name))
-            .map(|(i, _)| i)
-            .collect();
-        // Enumerate flag combinations relevant to this state's guards.
-        let used: Vec<usize> = flags
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                state.transitions.iter().any(|t| match &t.cond {
-                    Cond::Always => false,
-                    Cond::IsTrue(v) | Cond::IsFalse(v) => v == **f,
-                })
+            .map(|n| {
+                let fresh = signal_index.len();
+                *signal_index.entry(n.as_str()).or_insert(fresh)
             })
-            .map(|(i, _)| i)
             .collect();
-        let combos = 1u64 << used.len();
-        for c in 0..combos {
-            let mut flag_bits = 0u64;
-            for (k, &fi) in used.iter().enumerate() {
-                if c >> k & 1 == 1 {
-                    flag_bits |= 1 << fi;
+        out_on.resize(signal_index.len(), Vec::new());
+        for combo in 0..1u64 << tested.len() {
+            let flag_bits = tested
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| combo >> k & 1 == 1)
+                .fold(0u64, |bits, (_, &f)| bits | 1u64.wrapping_shl(f));
+            let next = guards
+                .iter()
+                .find(|(g, _)| g.is_none_or(|(f, v)| (flag_bits.wrapping_shr(f) & 1 == 1) == v))
+                .map_or(s, |&(_, to)| to);
+            let input = enc.codes[s] | flag_bits.wrapping_shl(enc.bits);
+            let next_code = enc.codes[next];
+            for (bit, on) in (0..).zip(next_on.iter_mut()) {
+                if next_code.wrapping_shr(bit) & 1 == 1 {
+                    on.push(input);
                 }
             }
-            let next = state
-                .transitions
-                .iter()
-                .find(|t| match &t.cond {
-                    Cond::Always => true,
-                    Cond::IsTrue(v) => {
-                        let fi = flags.iter().position(|f| *f == v).expect("known flag");
-                        flag_bits >> fi & 1 == 1
-                    }
-                    Cond::IsFalse(v) => {
-                        let fi = flags.iter().position(|f| *f == v).expect("known flag");
-                        flag_bits >> fi & 1 == 0
-                    }
-                })
-                .map(|t| t.to)
-                .unwrap_or(s);
-            let input = enc.codes[s] | flag_bits << enc.bits;
-            rows.push((input, enc.codes[next], sig_idx.clone()));
+            for &i in &signals {
+                out_on[i].push(input);
+            }
         }
     }
-
-    let mut terms = 0usize;
-    let mut literals = 0u64;
-    let mut count_fn = |on: &[u64], dc: &[u64]| {
-        if inputs <= EXACT_LIMIT && on.len() + dc.len() <= EXACT_MINTERM_LIMIT {
-            let c: Cover = minimize(inputs, on, dc);
-            terms += c.terms();
-            literals += c.literals() as u64;
-        } else {
-            // Unminimized sum-of-minterms estimate.
-            terms += on.len();
-            literals += on.len() as u64 * inputs as u64;
-        }
-    };
 
     // Don't-care set: unused state codes (all flag combinations).
-    let dc: Vec<u64> = {
-        let mut dc = Vec::new();
-        if enc.bits + (flags.len() as u32) <= EXACT_LIMIT
-            && (1u64 << enc.bits) <= 4 * enc.codes.len() as u64
-        {
-            let used: std::collections::BTreeSet<u64> = enc.codes.iter().copied().collect();
-            for code in 0..(1u64 << enc.bits) {
-                if !used.contains(&code) {
-                    for fb in 0..(1u64 << flags.len()) {
-                        dc.push(code | fb << enc.bits);
-                    }
-                }
+    let mut dc = Vec::new();
+    if inputs <= MAX_INPUTS && (1u64 << enc.bits) <= 4 * enc.codes.len() as u64 {
+        let used: BTreeSet<u64> = enc.codes.iter().copied().collect();
+        for code in (0..1u64 << enc.bits).filter(|c| !used.contains(c)) {
+            for fb in 0..1u64 << fsm.flags.len() {
+                dc.push(code | fb << enc.bits);
             }
         }
-        dc
-    };
-
-    // Next-state bit functions.
-    for bit in 0..enc.bits {
-        let on: Vec<u64> = rows
-            .iter()
-            .filter(|(_, next, _)| next >> bit & 1 == 1)
-            .map(|(i, _, _)| *i)
-            .collect();
-        count_fn(&on, &dc);
     }
-    // Output functions.
-    for (i, _) in signals.iter().enumerate() {
-        let on: Vec<u64> = rows
-            .iter()
-            .filter(|(_, _, sig)| sig.contains(&i))
-            .map(|(inp, _, _)| *inp)
-            .collect();
-        count_fn(&on, &dc);
+    let mut dont_cares = DontCares::new(inputs, &dc);
+
+    // Rows are visited in one fixed order, so equal on-sets are equal
+    // slices and the memo needs no canonicalization.
+    let mut memo: HashMap<&[u64], Option<(usize, u64)>> = HashMap::new();
+    let (mut terms, mut literals) = (0usize, 0u64);
+    for on in next_on.iter().chain(&out_on) {
+        let exact = if on.len() + dc.len() <= EXACT_MINTERM_LIMIT {
+            *memo.entry(on).or_insert_with(|| {
+                dont_cares
+                    .minimize(on)
+                    .map(|c| (c.terms(), u64::from(c.literals())))
+            })
+        } else {
+            None
+        };
+        // Unminimized sum-of-minterms estimate.
+        let (t, l) = exact.unwrap_or((on.len(), on.len() as u64 * u64::from(inputs)));
+        terms += t;
+        literals += l;
     }
 
     Ok(HardwiredReport {
         style,
         state_bits: enc.bits,
-        outputs: signals.len(),
+        outputs: out_on.len(),
         terms,
         literals,
     })
@@ -232,7 +229,6 @@ pub fn compare_encodings(fsm: &Fsm) -> Result<BTreeMap<&'static str, HardwiredRe
 mod tests {
     use super::*;
     use crate::fsm::{State, Transition};
-    use std::collections::BTreeSet;
 
     /// A 4-state counter FSM with one looping guard.
     fn small_fsm() -> Fsm {

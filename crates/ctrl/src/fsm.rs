@@ -94,8 +94,9 @@ impl Fsm {
             .collect()
     }
 
-    /// Checks that every transition target exists and every state (except
-    /// `done`) has at least one transition.
+    /// Checks that every transition target exists, every guard tests a
+    /// flag in [`Fsm::flags`], and every state (except `done`) has at
+    /// least one transition.
     ///
     /// # Errors
     ///
@@ -113,9 +114,21 @@ impl Fsm {
                         detail: format!("state `{}` jumps out of range", s.name),
                     });
                 }
+                if let Cond::IsTrue(f) | Cond::IsFalse(f) = &t.cond {
+                    if !self.flags.contains(f) {
+                        return Err(unknown_flag(s, f));
+                    }
+                }
             }
         }
         Ok(())
+    }
+}
+
+/// The error for a guard on a flag missing from [`Fsm::flags`].
+pub(crate) fn unknown_flag(state: &State, flag: &str) -> CtrlError {
+    CtrlError::MalformedFsm {
+        detail: format!("state `{}` tests unknown flag `{flag}`", state.name),
     }
 }
 
@@ -159,6 +172,13 @@ pub fn build_fsm(
     let fsm = b.fsm;
     fsm.validate()?;
     Ok(fsm)
+}
+
+/// A condition block is emitted with a forced state, so it always has one.
+fn no_condition_state() -> CtrlError {
+    CtrlError::MalformedFsm {
+        detail: "condition block emitted no state".to_string(),
+    }
 }
 
 struct Builder<'a> {
@@ -224,7 +244,7 @@ impl Builder<'_> {
                         detail: "while loop without a condition block".to_string(),
                     })?;
                     let (centry, cexits) = self.emit_block(cb, true)?;
-                    let centry = centry.expect("forced block state");
+                    let centry = centry.ok_or_else(no_condition_state)?;
                     let (bentry, bexits) = self.emit_region(&l.body)?;
                     let btarget = bentry.unwrap_or(centry);
                     let mut exits = Vec::new();
@@ -246,7 +266,7 @@ impl Builder<'_> {
             },
             Region::If(i) => {
                 let (centry, cexits) = self.emit_block(i.cond_block, true)?;
-                let centry = centry.expect("forced block state");
+                let centry = centry.ok_or_else(no_condition_state)?;
                 let (tentry, mut texits) = self.emit_region(&i.then_region)?;
                 let (eentry, eexits) = match &i.else_region {
                     Some(e) => self.emit_region(e)?,
@@ -464,6 +484,27 @@ mod tests {
         assert!(
             sigs.iter().any(|s| s.contains("<=")),
             "register loads: {sigs:?}"
+        );
+    }
+
+    #[test]
+    fn guard_on_unknown_flag_is_malformed() {
+        let mut fsm = sqrt_fsm();
+        let guarded = fsm
+            .states
+            .iter_mut()
+            .flat_map(|s| s.transitions.iter_mut())
+            .find(|t| t.cond != Cond::Always)
+            .expect("sqrt loops on a flag");
+        guarded.cond = Cond::IsTrue("%nowhere".to_string());
+        let err = fsm.validate().unwrap_err();
+        assert!(
+            matches!(&err, CtrlError::MalformedFsm { detail } if detail.contains("unknown flag `%nowhere`")),
+            "{err}"
+        );
+        assert_eq!(
+            crate::hardwired_logic(&fsm, crate::EncodingStyle::Binary).unwrap_err(),
+            err
         );
     }
 

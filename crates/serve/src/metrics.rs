@@ -87,9 +87,10 @@ pub struct Metrics {
     queue_depth: AtomicUsize,
     queue_high_water: AtomicUsize,
     /// Cumulative wall-clock time inside each synthesis pipeline stage,
-    /// in nanoseconds (schedule, allocate, rtl).
+    /// in nanoseconds (schedule, allocate, control, rtl).
     stage_schedule_nanos: AtomicU64,
     stage_alloc_nanos: AtomicU64,
+    stage_control_nanos: AtomicU64,
     stage_rtl_nanos: AtomicU64,
 }
 
@@ -201,17 +202,21 @@ impl Metrics {
             .fetch_add(stages.schedule, Ordering::Relaxed);
         self.stage_alloc_nanos
             .fetch_add(stages.allocate, Ordering::Relaxed);
+        self.stage_control_nanos
+            .fetch_add(stages.control, Ordering::Relaxed);
         self.stage_rtl_nanos
             .fetch_add(stages.rtl, Ordering::Relaxed);
     }
 
-    /// Cumulative (schedule, alloc, rtl) stage time in seconds.
-    pub fn stage_seconds(&self) -> (f64, f64, f64) {
-        (
-            self.stage_schedule_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            self.stage_alloc_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            self.stage_rtl_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-        )
+    /// Cumulative time in seconds per stage label, in pipeline order.
+    pub fn stage_seconds(&self) -> [(&'static str, f64); 4] {
+        [
+            ("schedule", &self.stage_schedule_nanos),
+            ("alloc", &self.stage_alloc_nanos),
+            ("control", &self.stage_control_nanos),
+            ("rtl", &self.stage_rtl_nanos),
+        ]
+        .map(|(stage, nanos)| (stage, nanos.load(Ordering::Relaxed) as f64 / 1e9))
     }
 
     /// Number of caught panics so far (used by tests).
@@ -321,15 +326,16 @@ impl Metrics {
              hls_requests_deadline_cancelled_total {}",
             self.deadline_cancelled.load(Ordering::Relaxed)
         );
-        let (sched_s, alloc_s, rtl_s) = self.stage_seconds();
-        let _ = writeln!(
-            out,
+        out.push_str(
             "# HELP hls_serve_stage_seconds_total Wall-clock time inside each synthesis pipeline stage.\n\
-             # TYPE hls_serve_stage_seconds_total counter\n\
-             hls_serve_stage_seconds_total{{stage=\"schedule\"}} {sched_s}\n\
-             hls_serve_stage_seconds_total{{stage=\"alloc\"}} {alloc_s}\n\
-             hls_serve_stage_seconds_total{{stage=\"rtl\"}} {rtl_s}"
+             # TYPE hls_serve_stage_seconds_total counter\n",
         );
+        for (stage, seconds) in self.stage_seconds() {
+            let _ = writeln!(
+                out,
+                "hls_serve_stage_seconds_total{{stage=\"{stage}\"}} {seconds}"
+            );
+        }
         {
             let deprecated = self.deprecated.lock().expect("metrics lock");
             out.push_str(
@@ -458,18 +464,28 @@ mod tests {
         m.observe_stages(hls_core::StageNanos {
             schedule: 2_000_000_000,
             allocate: 500_000_000,
+            control: 1_500_000_000,
             rtl: 250_000_000,
         });
         m.observe_stages(hls_core::StageNanos {
             schedule: 1_000_000_000,
             allocate: 0,
+            control: 250_000_000,
             rtl: 250_000_000,
         });
-        let (s, a, r) = m.stage_seconds();
-        assert_eq!((s, a, r), (3.0, 0.5, 0.5));
+        assert_eq!(
+            m.stage_seconds(),
+            [
+                ("schedule", 3.0),
+                ("alloc", 0.5),
+                ("control", 1.75),
+                ("rtl", 0.5)
+            ]
+        );
         let text = m.render();
         assert!(text.contains(r#"hls_serve_stage_seconds_total{stage="schedule"} 3"#));
         assert!(text.contains(r#"hls_serve_stage_seconds_total{stage="alloc"} 0.5"#));
+        assert!(text.contains(r#"hls_serve_stage_seconds_total{stage="control"} 1.75"#));
         assert!(text.contains(r#"hls_serve_stage_seconds_total{stage="rtl"} 0.5"#));
     }
 

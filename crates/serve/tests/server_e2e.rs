@@ -154,7 +154,7 @@ fn golden_synthesize_with_cache_roundtrip() {
     // The miss ran the real pipeline, so every stage counter is nonzero;
     // timings live only in /metrics, never in response bodies.
     let metrics = get(server.addr, "/metrics");
-    for stage in ["schedule", "alloc", "rtl"] {
+    for stage in ["schedule", "alloc", "control", "rtl"] {
         let needle = format!("hls_serve_stage_seconds_total{{stage=\"{stage}\"}} ");
         let seconds: f64 = metrics
             .body

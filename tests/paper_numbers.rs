@@ -120,6 +120,64 @@ fn e7_clique_formulation() {
     assert_eq!(adder_sizes.len(), 2, "two adders, as in the greedy example");
 }
 
+/// E13 (table-ctrl): flip-flops, product terms and literals of the
+/// minimized hardwired controller under each state encoding. Locks the
+/// EXPERIMENTS.md table, so a change to state encoding or two-level
+/// minimization that moves a literal count fails here.
+#[test]
+fn e13_controller_literals_per_encoding() {
+    use hls::core::ControlStyle;
+    use hls::ctrl::compare_encodings;
+    // (program, FUs, [(encoding, FFs, terms, literals)])
+    let expected = [
+        (
+            SQRT,
+            2,
+            [
+                ("binary", 3, 34, 89),
+                ("gray", 3, 37, 106),
+                ("one-hot", 5, 37, 211),
+            ],
+        ),
+        (
+            hls_workloads::sources::DIFFEQ,
+            2,
+            [
+                ("binary", 4, 78, 302),
+                ("gray", 4, 73, 274),
+                ("one-hot", 12, 99, 1287),
+            ],
+        ),
+        (
+            hls_workloads::sources::GCD,
+            1,
+            [
+                ("binary", 3, 34, 143),
+                ("gray", 3, 37, 155),
+                ("one-hot", 8, 42, 410),
+            ],
+        ),
+    ];
+    for (src, fus, rows) in expected {
+        let design = Synthesizer::new()
+            .universal_fus(fus)
+            .control(ControlStyle::Microcode)
+            .synthesize_source(src)
+            .unwrap();
+        let reports = compare_encodings(&design.fsm).unwrap();
+        assert_eq!(reports.len(), rows.len());
+        for (style, ffs, terms, literals) in rows {
+            let r = &reports[style];
+            assert_eq!(
+                (r.state_bits, r.terms, r.literals),
+                (ffs, terms, literals),
+                "{style} on a {}-state controller",
+                design.fsm.len()
+            );
+        }
+    }
+}
+
 /// The two sqrt designs execute correctly on real hardware structure:
 /// exactly 23 and 10 cycles, with correct square roots out.
 #[test]
