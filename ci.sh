@@ -22,11 +22,12 @@ cargo fmt --check
 echo "==> panic-free library check (crates/sched, crates/alloc, crates/ctrl)"
 # Library code on the synthesis path must report errors, never panic
 # (DESIGN.md §6). Strip line comments, keep only the text above any
-# #[cfg(test)] marker, and fail on panicking constructs.
+# #[cfg(test)] marker, and fail on panicking constructs: panic!,
+# unreachable!, .unwrap(), .expect( and `map[&key]` indexing.
 panic_check_failed=0
 for f in crates/sched/src/*.rs crates/alloc/src/*.rs crates/ctrl/src/*.rs; do
     hits=$(awk '/#\[cfg\(test\)\]/ { exit } { sub(/\/\/.*/, ""); print }' "$f" \
-        | grep -nE 'panic!|\.unwrap\(\)|unreachable!' || true)
+        | grep -nE 'panic!|\.unwrap\(\)|unreachable!|\.expect\(|[]A-Za-z0-9_)]\[&' || true)
     if [ -n "$hits" ]; then
         echo "panic-prone construct in library code: $f"
         echo "$hits"

@@ -308,7 +308,13 @@ pub fn build_datapath(
             .collect();
         let local_regs = left_edge(&intervals);
         for iv in &intervals {
-            let t = local_regs.assignment[&iv.value];
+            let t =
+                *local_regs
+                    .assignment
+                    .get(&iv.value)
+                    .ok_or_else(|| AllocError::UnboundValue {
+                        value: format!("{:?}", iv.value),
+                    })?;
             if t >= temp_widths.len() {
                 temp_widths.resize(t + 1, 1);
             }
@@ -379,7 +385,12 @@ pub fn build_datapath(
         let mut local_to_global: Vec<usize> = Vec::with_capacity(fu_alloc.fus.len());
         for fu in &fu_alloc.fus {
             let rank = class_rank.entry(fu.class).or_insert(0);
-            let g = fu_base[&fu.class] + *rank;
+            let base = fu_base
+                .get(&fu.class)
+                .ok_or_else(|| AllocError::MissingCell {
+                    class: fu.class.to_string(),
+                })?;
+            let g = base + *rank;
             *rank += 1;
             local_to_global.push(g);
             fus[g].ports = fus[g].ports.max(fu.ports);

@@ -190,7 +190,7 @@ pub fn connections(
     // Registered results of chained free ops: driven by the combinational
     // path from their producer's FU.
     for op in dfg.op_ids() {
-        if !classifier.is_free(dfg, op) || hls_sched::precedence::is_wired(dfg, op) {
+        if !classifier.is_free(dfg, op) || dfg.op(op).kind == OpKind::Const {
             continue;
         }
         if let Some(res) = dfg.result(op) {

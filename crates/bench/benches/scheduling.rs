@@ -27,7 +27,9 @@ fn scaling() {
             transformational_schedule(&g, &cls, &limits).expect("schedules")
         });
         if ops <= 150 {
-            let (_, cp) = hls_sched::precedence::unconstrained_asap(&g, &cls).expect("acyclic");
+            let (_, cp) = hls_sched::SchedGraph::build(&g, &cls)
+                .expect("acyclic")
+                .asap();
             group.bench("force_directed", ops, || {
                 force_directed_schedule(&g, &cls, cp + 2).expect("schedules")
             });

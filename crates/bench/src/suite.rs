@@ -34,8 +34,8 @@ use hls_cdfg::{Cdfg, Region};
 use hls_core::{pareto_front, ControlStyle, Estimator, Explorer, GridSpec, Synthesizer};
 use hls_ctrl::{hardwired_logic, EncodingStyle};
 use hls_sched::{
-    force_directed_schedule, freedom_based_schedule, hier_force_schedule, list_schedule,
-    precedence, Algorithm, FuClass, OpClassifier, Priority, ResourceLimits, DEFAULT_WINDOW,
+    force_directed_schedule, freedom_based_schedule, hier_force_schedule, list_schedule, Algorithm,
+    FuClass, OpClassifier, Priority, ResourceLimits, SchedGraph, DEFAULT_WINDOW,
 };
 use hls_workloads::random::{random_dag, RandomDagConfig};
 
@@ -191,7 +191,7 @@ pub fn build_suite(sizes: &SuiteSizes) -> Vec<SuiteEntry> {
         1
     }));
     let ewf = hls_workloads::benchmarks::ewf();
-    let (_, ewf_cp) = precedence::unconstrained_asap(&ewf, &typed).expect("acyclic");
+    let (_, ewf_cp) = SchedGraph::build(&ewf, &typed).expect("acyclic").asap();
     let cls = typed;
     entries.push(SuiteEntry::new("sched/force/ewf", move || {
         force_directed_schedule(&ewf, &cls, ewf_cp + 2).expect("schedules");
@@ -200,9 +200,9 @@ pub fn build_suite(sizes: &SuiteSizes) -> Vec<SuiteEntry> {
 
     // Synthetic DAGs, flat schedulers.
     let small = synth_dag(sizes.force_small);
-    let (_, cp_small) = precedence::unconstrained_asap(&small, &typed).expect("acyclic");
+    let (_, cp_small) = SchedGraph::build(&small, &typed).expect("acyclic").asap();
     let large = synth_dag(sizes.force_large);
-    let (_, cp_large) = precedence::unconstrained_asap(&large, &typed).expect("acyclic");
+    let (_, cp_large) = SchedGraph::build(&large, &typed).expect("acyclic").asap();
 
     let (g, cls) = (small.clone(), typed);
     entries.push(SuiteEntry::new(
@@ -244,7 +244,7 @@ pub fn build_suite(sizes: &SuiteSizes) -> Vec<SuiteEntry> {
     // CI time. One entry per size; the pair carries the scaling check.
     for &ops in &sizes.hforce {
         let g = synth_dag(ops);
-        let (_, cp) = precedence::unconstrained_asap(&g, &typed).expect("acyclic");
+        let (_, cp) = SchedGraph::build(&g, &typed).expect("acyclic").asap();
         let cls = typed;
         entries.push(SuiteEntry::new(
             format!("sched/hforce/synth-{ops}"),

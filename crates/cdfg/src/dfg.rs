@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use crate::dense::DepGraph;
 use crate::error::CdfgError;
 use crate::fixed::Fx;
 use crate::ids::Arena;
@@ -230,7 +231,8 @@ impl DataFlowGraph {
             .collect()
     }
 
-    /// A topological order of the live operations.
+    /// A topological order of the live operations: the order
+    /// [`DepGraph::topo`] caches, as op ids.
     ///
     /// Ties are broken by allocation order, which for graphs built from a
     /// specification corresponds to textual order — exactly the order the
@@ -240,37 +242,8 @@ impl DataFlowGraph {
     ///
     /// Returns [`CdfgError::Cycle`] if the graph has a data cycle.
     pub fn topological_order(&self) -> Result<Vec<OpId>, CdfgError> {
-        let mut indeg: HashMap<OpId, usize> = HashMap::new();
-        for id in self.op_ids() {
-            indeg.insert(id, self.preds(id).len());
-        }
-        let mut ready: Vec<OpId> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&id, _)| id)
-            .collect();
-        ready.sort();
-        let mut order = Vec::with_capacity(indeg.len());
-        let mut cursor = 0;
-        while cursor < ready.len() {
-            let id = ready[cursor];
-            cursor += 1;
-            order.push(id);
-            let mut newly = Vec::new();
-            for s in self.succs(id) {
-                let d = indeg.get_mut(&s).expect("succ is live");
-                *d -= 1;
-                if *d == 0 {
-                    newly.push(s);
-                }
-            }
-            newly.sort();
-            ready.extend(newly);
-        }
-        if order.len() != indeg.len() {
-            return Err(CdfgError::Cycle);
-        }
-        Ok(order)
+        let deps = DepGraph::build(self)?;
+        Ok(deps.topo().iter().map(|&i| deps.op(i as usize)).collect())
     }
 
     /// Redirects every use of value `old` to value `new`.

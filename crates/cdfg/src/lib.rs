@@ -7,12 +7,13 @@
 //! loop, if) connecting them — the tutorial's paired control-flow and
 //! data-flow graphs (Fig. 1).
 //!
-//! The crate also provides the dependence-only timing analyses every
-//! scheduler builds on ([`analysis`]), fixed-point constants ([`Fx`]), and
-//! Graphviz export ([`dot`]).
+//! The crate also provides the dense dependence structure every
+//! scheduler and allocator builds on ([`dense`]: bitsets, flat per-op maps
+//! and the CSR [`DepGraph`] with its cached topological order),
+//! fixed-point constants ([`Fx`]), and Graphviz export ([`dot`]).
 //!
 //! ```
-//! use hls_cdfg::{DataFlowGraph, OpKind, analysis};
+//! use hls_cdfg::{DataFlowGraph, DepGraph, OpKind};
 //!
 //! // y := (x * 3 + x) >> 1
 //! let mut dfg = DataFlowGraph::new();
@@ -24,15 +25,20 @@
 //! let s = dfg.add_op(OpKind::Shr, vec![dfg.result(a).unwrap(), one]);
 //! dfg.set_output("y", dfg.result(s).unwrap());
 //!
-//! let bounds = analysis::bounds(&dfg, None, &analysis::no_free_ops)?;
-//! assert_eq!(bounds.critical_path, 4);
+//! // Two constants and three operators, each after its producers.
+//! let deps = DepGraph::build(&dfg)?;
+//! assert_eq!(deps.len(), 5);
+//! let add = deps.index_of(a).unwrap();
+//! assert_eq!(deps.preds(add), &[deps.index_of(m).unwrap() as u32]);
+//! let order = dfg.topological_order()?;
+//! let pos = |op| order.iter().position(|&o| o == op);
+//! assert!(pos(m) < pos(a) && pos(a) < pos(s));
 //! # Ok::<(), hls_cdfg::CdfgError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 mod cdfg;
 pub mod dense;
 mod dfg;

@@ -32,7 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hls_alloc::{CliqueMethod, FuStrategy};
 use hls_core::Synthesizer;
-use hls_sched::{precedence, Algorithm, Priority, ResourceLimits, ScheduleError};
+use hls_sched::{Algorithm, Priority, ResourceLimits, SchedGraph, ScheduleError};
 
 use corpus::Case;
 
@@ -110,9 +110,14 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// Branch-and-bound's node budget under the fuzzer: small enough that
+/// the exact search stays cheap on 20-op programs. Running out of it is
+/// an accepted outcome (`SearchBudgetExhausted`).
+const BB_NODE_BUDGET: u64 = 20_000;
+
 /// Parses a scheduler spec (`asap`, `alap/N`, `list/path`,
 /// `list/urgency`, `list/mobility`, `force/N`, `hforce/N/W`,
-/// `freedom/N`).
+/// `freedom/N`, `bb`, `transform`).
 pub fn parse_scheduler(spec: &str) -> Option<Algorithm> {
     // (kept in sync with hls-serve's parser; fuzz stays self-contained)
     let (head, arg) = match spec.split_once('/') {
@@ -141,6 +146,10 @@ pub fn parse_scheduler(spec: &str) -> Option<Algorithm> {
             })
         }
         "freedom" => Some(Algorithm::FreedomBased { slack: slack()? }),
+        "bb" if arg.is_none() => Some(Algorithm::BranchAndBound {
+            node_budget: BB_NODE_BUDGET,
+        }),
+        "transform" if arg.is_none() => Some(Algorithm::Transformational),
         _ => None,
     }
 }
@@ -156,11 +165,11 @@ pub fn parse_strategy(spec: &str) -> Option<FuStrategy> {
     }
 }
 
-/// The scheduler sweep when a case does not pin one. ASAP, ALAP, list,
-/// and every time-constrained scheduler; force-directed twice because
-/// zero slack (deadline = critical path) and positive slack stress
-/// different window arithmetic. Hierarchical force runs with a tiny
-/// window so random graphs exercise multiple seams per block.
+/// The scheduler sweep when a case does not pin one: every
+/// [`Algorithm`]. Force-directed runs twice because zero slack
+/// (deadline = critical path) and positive slack stress different window
+/// arithmetic. Hierarchical force runs with a tiny window so random
+/// graphs exercise multiple seams per block.
 pub const SCHEDULERS: &[&str] = &[
     "asap",
     "alap/0",
@@ -170,6 +179,8 @@ pub const SCHEDULERS: &[&str] = &[
     "force/2",
     "hforce/2/4",
     "freedom/1",
+    "bb",
+    "transform",
 ];
 
 /// The FU-count sweep when a case does not pin one.
@@ -343,31 +354,28 @@ fn schedule_oracles(
         if let Err(e) = sched.validate(dfg, &result.classifier, limits) {
             return Some((Oracle::InvalidSchedule, format!("{block:?}: {e}")));
         }
-        let asap = match precedence::unconstrained_asap(dfg, &result.classifier) {
-            Ok((map, _)) => map,
-            Err(e) => return Some((Oracle::BoundsViolated, format!("asap bound: {e}"))),
+        let sg = match SchedGraph::build(dfg, &result.classifier) {
+            Ok(sg) => sg,
+            Err(e) => return Some((Oracle::BoundsViolated, format!("bounds: {e}"))),
         };
-        let alap = match precedence::unconstrained_alap(dfg, &result.classifier, sched.num_steps())
-        {
-            Ok(map) => map,
-            Err(e) => return Some((Oracle::BoundsViolated, format!("alap bound: {e}"))),
-        };
+        let (asap, _) = sg.asap();
+        let alap = sg.alap(sched.num_steps());
         for (op, step) in sched.iter() {
-            if let Some(&lo) = asap.get(&op) {
-                if step < lo {
-                    return Some((
-                        Oracle::BoundsViolated,
-                        format!("{block:?} {op:?}: step {step} < asap {lo}"),
-                    ));
-                }
+            let Some(i) = sg.graph().index_of(op) else {
+                continue;
+            };
+            let (lo, hi) = (asap[i], alap[i]);
+            if step < lo {
+                return Some((
+                    Oracle::BoundsViolated,
+                    format!("{block:?} {op:?}: step {step} < asap {lo}"),
+                ));
             }
-            if let Some(&hi) = alap.get(&op) {
-                if step > hi {
-                    return Some((
-                        Oracle::BoundsViolated,
-                        format!("{block:?} {op:?}: step {step} > alap {hi}"),
-                    ));
-                }
+            if step > hi {
+                return Some((
+                    Oracle::BoundsViolated,
+                    format!("{block:?} {op:?}: step {step} > alap {hi}"),
+                ));
             }
         }
     }
@@ -590,6 +598,17 @@ mod tests {
         assert!(parse_scheduler("list/bogus").is_none());
         assert!(parse_scheduler("hforce/1/0").is_none(), "zero window");
         assert!(parse_scheduler("hforce/1/x").is_none());
+        assert!(parse_scheduler("bb/5").is_none(), "the budget is fixed");
+        assert_eq!(
+            parse_scheduler("bb"),
+            Some(Algorithm::BranchAndBound {
+                node_budget: BB_NODE_BUDGET
+            })
+        );
+        assert_eq!(
+            parse_scheduler("transform"),
+            Some(Algorithm::Transformational)
+        );
         assert_eq!(
             parse_scheduler("hforce/3"),
             Some(Algorithm::HierForce {

@@ -69,3 +69,45 @@ fn corpus_files_are_canonical() {
         );
     }
 }
+
+/// Strength reduction rewrites `A0 * 4` into a `<<` whose id is higher
+/// than the `>>` that reads it. Branch-and-bound must resolve the two
+/// free shifts in topological order, not id order (it used to panic on
+/// the missing `<<` step).
+#[test]
+fn bb_resolves_free_shifts_in_topological_order() {
+    use hls_core::Synthesizer;
+    use hls_sched::{Algorithm, Priority, ResourceLimits};
+
+    let src = "program m;
+input A0;
+output Y;
+var T2;
+begin
+  T2 := A0 * 4;
+  Y := (T2 >> 2) + A0;
+end.";
+    let bb = Synthesizer::new()
+        .algorithm(Algorithm::BranchAndBound {
+            node_budget: 2_000_000,
+        })
+        .synthesize_source(src)
+        .expect("branch-and-bound synthesizes");
+    let limits = ResourceLimits::universal(2);
+    for block in bb.cdfg.block_order() {
+        let schedule = bb.schedule.block(block).expect("every block scheduled");
+        schedule
+            .validate(&bb.cdfg.block(block).dfg, &bb.classifier, &limits)
+            .expect("valid schedule");
+    }
+    let list = Synthesizer::new()
+        .algorithm(Algorithm::List(Priority::PathLength))
+        .synthesize_source(src)
+        .expect("list scheduling synthesizes");
+    assert!(
+        bb.latency <= list.latency,
+        "bb {} vs list {}",
+        bb.latency,
+        list.latency
+    );
+}

@@ -20,8 +20,9 @@ use std::fmt::Write as _;
 use hls_cdfg::{Cdfg, DataFlowGraph};
 use hls_fuzz::corpus::{Case, Mode};
 use hls_sched::{
-    chained_schedule, schedule_cdfg_cached, transformational_schedule, Algorithm, CdfgBoundsCache,
-    DelayModel, FuClass, OpClassifier, Priority, ResourceLimits, Schedule, ScheduleError,
+    chained_schedule, schedule_cdfg, schedule_cdfg_cached, transformational_schedule, Algorithm,
+    CdfgBoundsCache, DelayModel, FuClass, OpClassifier, Priority, ResourceLimits, Schedule,
+    ScheduleError,
 };
 use hls_testkit::FnvWriter;
 use hls_workloads::benchmarks::to_cdfg;
@@ -36,7 +37,8 @@ const BB_BUDGET: u64 = 500;
 
 /// Generated-program (seed, classifier, limits) combos on which
 /// branch-and-bound used to panic (a chained-free predecessor resolved
-/// before its own chained-free predecessor), left out of the digest.
+/// before its own chained-free predecessor), left out of the digest;
+/// [`bb_no_longer_panics_on_the_skipped_combos`] covers them.
 const BB_PANICKED: &[(u64, &str, &str)] = &[
     (0, "free-shifts", "1fu"),
     (0, "typed", "1-per-class"),
@@ -257,7 +259,7 @@ fn battery() -> Vec<(String, u64)> {
                         Ok(cs) => {
                             record_schedule(&mut w, dfg, &cs.schedule);
                             for op in dfg.op_ids() {
-                                let ns = cs.start_ns.get(&op).copied().unwrap_or(f64::NAN);
+                                let ns = cs.start_ns.get(op).copied().unwrap_or(f64::NAN);
                                 write!(w, "{:x};", ns.to_bits()).expect("hashing never fails");
                             }
                             write!(w, "{:x}|", cs.critical_ns.to_bits())
@@ -299,5 +301,40 @@ fn every_scheduler_is_step_identical() {
             "schedule digest moved: {digest:#018x} (pinned {DIGEST:#018x}) over {} combos",
             combos.len()
         );
+    }
+}
+
+/// The combos left out of the digest no longer panic: branch-and-bound
+/// returns a valid schedule no longer than list scheduling's, or reports
+/// that it ran out of nodes.
+#[test]
+fn bb_no_longer_panics_on_the_skipped_combos() {
+    for &(seed, cname, lname) in BB_PANICKED {
+        let cdfg = optimized(&hls_fuzz::gen::generate_bsl(&bsl_case(seed)));
+        let (_, cls) = classifiers()
+            .into_iter()
+            .find(|&(n, _)| n == cname)
+            .expect("known classifier");
+        let (_, limits) = limit_sets()
+            .into_iter()
+            .find(|(n, _)| *n == lname)
+            .expect("known limit set");
+        let bb = Algorithm::BranchAndBound {
+            node_budget: BB_BUDGET,
+        };
+        match schedule_cdfg(&cdfg, &cls, &limits, bb) {
+            Ok(s) => {
+                for block in cdfg.block_order() {
+                    let bs = s.block(block).expect("every block scheduled");
+                    bs.validate(&cdfg.block(block).dfg, &cls, &limits)
+                        .unwrap_or_else(|e| panic!("bsl{seed}/{cname}/{lname}: {e}"));
+                }
+                let list = Algorithm::List(Priority::PathLength);
+                let list = schedule_cdfg(&cdfg, &cls, &limits, list).expect("list schedules");
+                assert!(s.total_latency(&cdfg) <= list.total_latency(&cdfg));
+            }
+            Err(ScheduleError::SearchBudgetExhausted) => {}
+            Err(e) => panic!("bsl{seed}/{cname}/{lname}: {e}"),
+        }
     }
 }

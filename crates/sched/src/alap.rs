@@ -5,12 +5,10 @@
 //! the final steps), but the source of the "latest start" half of every
 //! mobility/freedom computation (§3.1.2), and a useful baseline.
 
-use std::collections::HashMap;
+use hls_cdfg::DataFlowGraph;
 
-use hls_cdfg::{DataFlowGraph, OpId};
-
-use crate::precedence::{is_wired, unconstrained_alap, unconstrained_asap};
-use crate::resource::{OpClassifier, ResourceLimits};
+use crate::bounds::SchedGraph;
+use crate::resource::{OpClassifier, ResourceLimits, StepUsage};
 use crate::schedule::Schedule;
 use crate::ScheduleError;
 
@@ -31,23 +29,33 @@ pub fn alap_schedule(
     limits: &ResourceLimits,
     deadline: u32,
 ) -> Result<Schedule, ScheduleError> {
-    let (_, cp) = unconstrained_asap(dfg, classifier)?;
+    alap_schedule_graph(&SchedGraph::build(dfg, classifier)?, limits, deadline)
+}
+
+/// [`alap_schedule`] on an already-built (possibly cached) [`SchedGraph`].
+pub(crate) fn alap_schedule_graph(
+    sg: &SchedGraph,
+    limits: &ResourceLimits,
+    deadline: u32,
+) -> Result<Schedule, ScheduleError> {
+    let (_, cp) = sg.asap();
     if deadline < cp {
         return Err(ScheduleError::DeadlineTooShort {
             deadline,
             critical_path: cp,
         });
     }
-    let unconstrained = unconstrained_alap(dfg, classifier, deadline)?;
-    // Reverse topological order; each op takes the latest feasible step.
-    let order = dfg.topological_order()?;
-    let mut steps: HashMap<OpId, u32> = HashMap::new();
-    let mut usage: HashMap<(crate::FuClass, u32), usize> = HashMap::new();
+    let unconstrained = sg.alap(deadline);
+    let (classes, class_idx) = sg.dense_classes();
+    let mut usage = StepUsage::new(classes.len());
+    // Wired ops stay at step 0; every other slot is written before any
+    // of its producers reads it (reverse topological order).
+    let mut steps = vec![0u32; sg.len()];
     let mut schedule = Schedule::new();
-    for &op in order.iter().rev() {
-        if is_wired(dfg, op) {
-            steps.insert(op, 0);
-            schedule.assign(op, 0);
+    for &i in sg.graph().topo().iter().rev() {
+        let i = i as usize;
+        if sg.is_wired(i) {
+            schedule.assign(sg.op(i), 0);
             continue;
         }
         // Latest step permitted by already-placed successors. A
@@ -55,41 +63,32 @@ pub fn alap_schedule(
         // way to step 0 leaves no room for its producers: the deadline
         // is infeasible under these limits, and saying so (rather than
         // clamping to step 0) is what keeps the output precedence-clean.
-        let mut latest = unconstrained[&op];
-        for succ in dfg.succs(op) {
-            if is_wired(dfg, succ) {
+        let mut latest = unconstrained[i];
+        for &s in sg.graph().succs(i) {
+            let s = s as usize;
+            if sg.is_wired(s) {
                 continue;
             }
-            let ss = steps[&succ];
-            let bound = if classifier.is_free(dfg, succ) {
-                ss
-            } else if ss == 0 {
-                return Err(ScheduleError::SearchBudgetExhausted);
+            let bound = if sg.is_free(s) {
+                steps[s]
             } else {
-                ss - 1
+                steps[s]
+                    .checked_sub(1)
+                    .ok_or(ScheduleError::SearchBudgetExhausted)?
             };
             latest = latest.min(bound);
         }
-        let step = match classifier.classify(dfg, op) {
-            None => latest,
-            Some(class) => {
-                let limit = limits.limit(class);
-                if limit == 0 {
-                    return Err(ScheduleError::ZeroResource { class });
-                }
-                let mut s = latest;
-                while *usage.get(&(class, s)).unwrap_or(&0) >= limit {
-                    if s == 0 {
-                        return Err(ScheduleError::SearchBudgetExhausted);
-                    }
-                    s -= 1;
-                }
-                *usage.entry((class, s)).or_insert(0) += 1;
-                s
+        if let Some(ci) = class_idx[i] {
+            let limit = limits.nonzero(classes[ci])?;
+            while usage.get(ci, latest) >= limit {
+                latest = latest
+                    .checked_sub(1)
+                    .ok_or(ScheduleError::SearchBudgetExhausted)?;
             }
-        };
-        steps.insert(op, step);
-        schedule.assign(op, step);
+            usage.add(ci, latest);
+        }
+        steps[i] = latest;
+        schedule.assign(sg.op(i), latest);
     }
     schedule.set_num_steps(deadline);
     Ok(schedule)

@@ -8,12 +8,10 @@
 //! grab a limited unit first and push critical ops later — the Fig. 3
 //! pathology, demonstrated in this module's tests and in experiment E3.
 
-use std::collections::HashMap;
-
 use hls_cdfg::DataFlowGraph;
 
-use crate::precedence::earliest_start;
-use crate::resource::{OpClassifier, ResourceLimits};
+use crate::bounds::SchedGraph;
+use crate::resource::{OpClassifier, ResourceLimits, StepUsage};
 use crate::schedule::Schedule;
 use crate::ScheduleError;
 
@@ -28,29 +26,31 @@ pub fn asap_schedule(
     classifier: &OpClassifier,
     limits: &ResourceLimits,
 ) -> Result<Schedule, ScheduleError> {
-    let order = dfg.topological_order()?;
-    let mut steps: HashMap<hls_cdfg::OpId, u32> = HashMap::new();
-    let mut usage: HashMap<(crate::FuClass, u32), usize> = HashMap::new();
+    asap_schedule_graph(&SchedGraph::build(dfg, classifier)?, limits)
+}
+
+/// [`asap_schedule`] on an already-built (possibly cached) [`SchedGraph`].
+pub(crate) fn asap_schedule_graph(
+    sg: &SchedGraph,
+    limits: &ResourceLimits,
+) -> Result<Schedule, ScheduleError> {
+    let (classes, class_idx) = sg.dense_classes();
+    let mut usage = StepUsage::new(classes.len());
+    let mut steps = vec![0u32; sg.len()];
     let mut schedule = Schedule::new();
-    for op in order {
-        let ready = earliest_start(dfg, classifier, &steps, op);
-        let step = match classifier.classify(dfg, op) {
-            None => ready, // wired or chained-free: no resource needed
-            Some(class) => {
-                let limit = limits.limit(class);
-                if limit == 0 {
-                    return Err(ScheduleError::ZeroResource { class });
-                }
-                let mut s = ready;
-                while *usage.get(&(class, s)).unwrap_or(&0) >= limit {
-                    s += 1;
-                }
-                *usage.entry((class, s)).or_insert(0) += 1;
-                s
+    for &i in sg.graph().topo() {
+        let i = i as usize;
+        let mut step = sg.earliest_start(&steps, i);
+        // Wired and chained-free ops need no unit.
+        if let Some(ci) = class_idx[i] {
+            let limit = limits.nonzero(classes[ci])?;
+            while usage.get(ci, step) >= limit {
+                step += 1;
             }
-        };
-        steps.insert(op, step);
-        schedule.assign(op, step);
+            usage.add(ci, step);
+        }
+        steps[i] = step;
+        schedule.assign(sg.op(i), step);
     }
     Ok(schedule)
 }

@@ -10,13 +10,11 @@
 //! schedule for small graphs, and serves as the ground truth against which
 //! the heuristic schedulers are measured (experiment E8).
 
-use std::collections::HashMap;
+use hls_cdfg::DataFlowGraph;
 
-use hls_cdfg::{DataFlowGraph, OpId};
-
-use crate::list::{list_schedule, Priority};
-use crate::precedence::{earliest_start, is_wired};
-use crate::resource::{FuClass, OpClassifier, ResourceLimits};
+use crate::bounds::SchedGraph;
+use crate::list::{list_schedule_graph, Priority};
+use crate::resource::{OpClassifier, ResourceLimits, StepUsage};
 use crate::schedule::Schedule;
 use crate::ScheduleError;
 
@@ -37,181 +35,144 @@ pub fn branch_and_bound_schedule(
     limits: &ResourceLimits,
     node_budget: u64,
 ) -> Result<Schedule, ScheduleError> {
+    branch_and_bound_schedule_graph(&SchedGraph::build(dfg, classifier)?, limits, node_budget)
+}
+
+/// [`branch_and_bound_schedule`] on an already-built (possibly cached)
+/// [`SchedGraph`].
+pub(crate) fn branch_and_bound_schedule_graph(
+    sg: &SchedGraph,
+    limits: &ResourceLimits,
+    node_budget: u64,
+) -> Result<Schedule, ScheduleError> {
     // Upper bound from list scheduling (also catches zero resources).
-    let seed = list_schedule(dfg, classifier, limits, Priority::PathLength)?;
-    let mut best_len = seed.num_steps();
-    let mut best = seed;
+    let seed = list_schedule_graph(sg, limits, Priority::PathLength)?;
+    let best_len = seed.num_steps();
     if best_len == 0 {
-        return Ok(best);
+        return Ok(seed);
     }
-
-    // Order step-taking ops topologically; free/wired ops are placed after.
-    let full_order = dfg.topological_order()?;
-    let order: Vec<(OpId, FuClass)> = full_order
+    // Step-taking ops in topological order; wired and chained-free ops
+    // are resolved, not searched.
+    let (classes, class_idx) = sg.dense_classes();
+    let order = sg
+        .graph()
+        .topo()
         .iter()
-        .filter_map(|&op| classifier.classify(dfg, op).map(|class| (op, class)))
+        .enumerate()
+        .filter_map(|(pos, &i)| {
+            let ci = class_idx[i as usize]?;
+            Some(Slot {
+                op: i as usize,
+                ci,
+                limit: limits.limit(classes[ci]),
+                pos,
+            })
+        })
         .collect();
-    // Remaining path length below each op (in step-taking ops, inclusive).
-    let tail = tail_lengths(dfg, classifier, &full_order);
-
-    let mut steps: HashMap<OpId, u32> = HashMap::new();
-    let mut usage: HashMap<(FuClass, u32), usize> = HashMap::new();
-    let mut nodes = 0u64;
-    let exhausted = dfs(
-        dfg,
-        classifier,
-        limits,
-        &order,
-        &full_order,
-        0,
-        &tail,
-        &mut steps,
-        &mut usage,
-        0,
-        &mut best_len,
-        &mut best,
-        &mut nodes,
-        node_budget,
-    );
-    if exhausted {
+    let mut search = Search {
+        sg,
+        order,
+        // Remaining path length below each op, in step-taking ops.
+        tail: sg.path_weights(|i| u32::from(sg.class(i).is_some())),
+        steps: vec![0; sg.len()],
+        usage: StepUsage::new(classes.len()),
+        best_len,
+        best: seed,
+        nodes: 0,
+        budget: node_budget,
+    };
+    if search.dfs(0, 0) {
         return Err(ScheduleError::SearchBudgetExhausted);
     }
-    Ok(best)
+    Ok(search.best)
 }
 
-/// Longest chain of step-taking ops from each op to a sink, inclusive.
-fn tail_lengths(
-    dfg: &DataFlowGraph,
-    classifier: &OpClassifier,
-    order: &[OpId],
-) -> HashMap<OpId, u32> {
-    let mut tail: HashMap<OpId, u32> = HashMap::new();
-    for &op in order.iter().rev() {
-        let below = dfg.succs(op).iter().map(|s| tail[s]).max().unwrap_or(0);
-        let own = u32::from(classifier.classify(dfg, op).is_some());
-        tail.insert(op, below + own);
-    }
-    tail
+/// A step-taking op of the search order.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Dense op index.
+    op: usize,
+    /// Dense class index.
+    ci: usize,
+    /// Units of that class.
+    limit: usize,
+    /// Position in the topological order.
+    pos: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    dfg: &DataFlowGraph,
-    classifier: &OpClassifier,
-    limits: &ResourceLimits,
-    order: &[(OpId, FuClass)],
-    full_order: &[OpId],
-    idx: usize,
-    tail: &HashMap<OpId, u32>,
-    steps: &mut HashMap<OpId, u32>,
-    usage: &mut HashMap<(FuClass, u32), usize>,
-    makespan: u32,
-    best_len: &mut u32,
-    best: &mut Schedule,
-    nodes: &mut u64,
+struct Search<'a> {
+    sg: &'a SchedGraph,
+    order: Vec<Slot>,
+    tail: Vec<u32>,
+    /// Current step per dense op: placed step-taking ops, and the free
+    /// ops resolved from them.
+    steps: Vec<u32>,
+    usage: StepUsage,
+    best_len: u32,
+    best: Schedule,
+    nodes: u64,
     budget: u64,
-) -> bool {
-    if *nodes >= budget {
-        return true;
-    }
-    *nodes += 1;
-    if idx == order.len() {
-        if makespan < *best_len {
-            *best_len = makespan;
-            let mut s = Schedule::new();
-            // Free/wired ops at their earliest start given the assignment.
-            let mut all = steps.clone();
-            for &op in full_order {
-                if !all.contains_key(&op) {
-                    let e = earliest_start(dfg, classifier, &all, op);
-                    all.insert(op, e);
-                }
-                let t = if is_wired(dfg, op) { 0 } else { all[&op] };
-                s.assign(op, t);
-            }
-            *best = s;
-        }
-        return false;
-    }
-    let (op, class) = order[idx];
-    let ready = {
-        // earliest_start needs *all* non-wired preds scheduled; chained-free
-        // preds are not in `steps`, so resolve them on the fly.
-        let mut tmp = steps.clone();
-        for p in transitive_unscheduled_preds(dfg, classifier, steps, op) {
-            let e = earliest_start(dfg, classifier, &tmp, p);
-            tmp.insert(p, e);
-        }
-        earliest_start(dfg, classifier, &tmp, op)
-    };
-    let limit = limits.limit(class);
-    // Prune: op at step t forces completion no earlier than t + tail[op],
-    // so the latest start that can still *improve* on best_len is
-    // best_len - 1 - tail[op].
-    let horizon = (*best_len).saturating_sub(1).saturating_sub(tail[&op]);
-    let mut t = ready;
-    while t <= horizon {
-        let u = usage.get(&(class, t)).copied().unwrap_or(0);
-        if u < limit {
-            *usage.entry((class, t)).or_insert(0) += 1;
-            steps.insert(op, t);
-            let new_makespan = makespan.max(t + 1);
-            let stop = dfs(
-                dfg,
-                classifier,
-                limits,
-                order,
-                full_order,
-                idx + 1,
-                tail,
-                steps,
-                usage,
-                new_makespan,
-                best_len,
-                best,
-                nodes,
-                budget,
-            );
-            if stop {
-                return true;
-            }
-            steps.remove(&op);
-            if let Some(u) = usage.get_mut(&(class, t)) {
-                *u -= 1;
-            }
-        }
-        t += 1;
-    }
-    false
 }
 
-/// Chained-free predecessors of `op` not yet scheduled (transitively).
-fn transitive_unscheduled_preds(
-    dfg: &DataFlowGraph,
-    classifier: &OpClassifier,
-    steps: &HashMap<OpId, u32>,
-    op: OpId,
-) -> Vec<OpId> {
-    let mut out = Vec::new();
-    let mut work = dfg.preds(op);
-    while let Some(p) = work.pop() {
-        if is_wired(dfg, p) || steps.contains_key(&p) || out.contains(&p) {
-            continue;
+impl Search<'_> {
+    /// Places `order[idx..]`; returns `true` when the node budget ran out.
+    fn dfs(&mut self, idx: usize, makespan: u32) -> bool {
+        if self.nodes >= self.budget {
+            return true;
         }
-        debug_assert!(
-            classifier.is_free(dfg, p),
-            "step-taking preds are scheduled first"
-        );
-        work.extend(dfg.preds(p));
-        out.push(p);
+        self.nodes += 1;
+        // Resolve the wired and chained-free ops between the previous
+        // step-taking op and this one, in topological order: every
+        // producer they read is placed or resolved before them.
+        let from = idx.checked_sub(1).map_or(0, |p| self.order[p].pos + 1);
+        let to = self.order.get(idx).map_or(self.sg.len(), |slot| slot.pos);
+        for &f in &self.sg.graph().topo()[from..to] {
+            let f = f as usize;
+            self.steps[f] = self.sg.earliest_start(&self.steps, f);
+        }
+        let Some(&slot) = self.order.get(idx) else {
+            if makespan < self.best_len {
+                self.best_len = makespan;
+                let mut s = Schedule::new();
+                for i in 0..self.sg.len() {
+                    let t = if self.sg.is_wired(i) {
+                        0
+                    } else {
+                        self.steps[i]
+                    };
+                    s.assign(self.sg.op(i), t);
+                }
+                self.best = s;
+            }
+            return false;
+        };
+        let ready = self.sg.earliest_start(&self.steps, slot.op);
+        // Prune: op at step t forces completion no earlier than
+        // t + tail[op], so the latest start that can still *improve* on
+        // best_len is best_len - 1 - tail[op].
+        let horizon = self
+            .best_len
+            .saturating_sub(1)
+            .saturating_sub(self.tail[slot.op]);
+        for t in ready..=horizon {
+            if self.usage.get(slot.ci, t) < slot.limit {
+                self.usage.add(slot.ci, t);
+                self.steps[slot.op] = t;
+                if self.dfs(idx + 1, makespan.max(t + 1)) {
+                    return true;
+                }
+                self.usage.remove(slot.ci, t);
+            }
+        }
+        false
     }
-    out.sort();
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::list_schedule;
+    use crate::resource::FuClass;
     use hls_workloads::figures::fig3_graph;
 
     #[test]

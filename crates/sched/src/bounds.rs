@@ -7,6 +7,17 @@
 //! bounds are computed once per (block, classifier) instead of once per
 //! scheduler invocation. Dense index order equals id (allocation) order,
 //! which is the deterministic tie-break documented across the schedulers.
+//!
+//! Three kinds of operations exist under the control-step model:
+//!
+//! * **wired** — constants: no hardware, no step constraint; their value
+//!   is always available.
+//! * **chained free** — constant-amount shifts (under the "free shift"
+//!   policy) and muxes: combinational wiring that evaluates *within* the
+//!   step of its producers (it may share their step); its result is
+//!   registered at the end of its step.
+//! * **step-taking** — everything else: occupies a functional unit for
+//!   one control step; its result is available from the next step on.
 
 use hls_cdfg::dense::DepGraph;
 use hls_cdfg::{DataFlowGraph, OpId, OpKind};
@@ -85,34 +96,56 @@ impl SchedGraph {
         self.class[dense]
     }
 
-    /// Dependence-only ASAP steps and the critical path, as dense vectors
-    /// (the single implementation behind
-    /// [`crate::precedence::unconstrained_asap`]).
+    /// The earliest step the op at `dense` may occupy, given `steps` of
+    /// every non-wired predecessor: a chained-free op may share its
+    /// producers' step, a step-taking op starts after they register.
+    pub(crate) fn earliest_start(&self, steps: &[u32], dense: usize) -> u32 {
+        let free = self.free[dense];
+        self.graph
+            .preds(dense)
+            .iter()
+            .map(|&p| p as usize)
+            .filter(|&p| !self.wired[p])
+            .map(|p| if free { steps[p] } else { steps[p] + 1 })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Dependence-only ASAP steps and the critical path, as dense vectors.
     pub fn asap(&self) -> (Vec<u32>, u32) {
         let mut steps = vec![0u32; self.len()];
         let mut total = 0;
         for &i in self.graph.topo() {
             let i = i as usize;
-            let free = self.free[i];
-            let mut lo = 0;
-            for &p in self.graph.preds(i) {
-                let p = p as usize;
-                if self.wired[p] {
-                    continue;
-                }
-                lo = lo.max(if free { steps[p] } else { steps[p] + 1 });
-            }
-            steps[i] = lo;
+            steps[i] = self.earliest_start(&steps, i);
             if !self.wired[i] {
-                total = total.max(lo + 1);
+                total = total.max(steps[i] + 1);
             }
         }
         (steps, total)
     }
 
-    /// Dependence-only ALAP steps against `deadline`, as a dense vector
-    /// (the single implementation behind
-    /// [`crate::precedence::unconstrained_alap`]).
+    /// Per op, the summed `weight` of the heaviest dependence chain from
+    /// it to any sink, itself included. With unit weights this is BUD's
+    /// list-scheduling priority, "the length of the path from the
+    /// operation to the end of the block".
+    pub(crate) fn path_weights(&self, weight: impl Fn(usize) -> u32) -> Vec<u32> {
+        let mut below = vec![0u32; self.len()];
+        for &i in self.graph.topo().iter().rev() {
+            let i = i as usize;
+            let tail = self
+                .graph
+                .succs(i)
+                .iter()
+                .map(|&s| below[s as usize])
+                .max()
+                .unwrap_or(0);
+            below[i] = tail + weight(i);
+        }
+        below
+    }
+
+    /// Dependence-only ALAP steps against `deadline`, as a dense vector.
     pub fn alap(&self, deadline: u32) -> Vec<u32> {
         let mut steps = vec![0u32; self.len()];
         for &i in self.graph.topo().iter().rev() {
@@ -368,29 +401,78 @@ pub struct Windows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precedence::{unconstrained_alap, unconstrained_asap};
+    use hls_cdfg::{DataFlowGraph, Fx, OpKind};
     use hls_workloads::random::{random_dag, RandomDagConfig};
 
+    /// div -> add -> shr(free) with inc independent: the Fig. 2 loop body.
+    /// Returns the graph and the dense indices of div, add, shr, inc.
+    fn fig2_body(cls: &OpClassifier) -> (SchedGraph, [usize; 4]) {
+        let mut g = DataFlowGraph::new();
+        let y = g.add_input("y", 32);
+        let x = g.add_input("x", 32);
+        let i = g.add_input("i", 2);
+        let div = g.add_op(OpKind::Div, vec![x, y]);
+        let add = g.add_op(OpKind::Add, vec![y, g.result(div).unwrap()]);
+        let one = g.add_const_value(Fx::ONE);
+        let shr = g.add_op(OpKind::Shr, vec![g.result(add).unwrap(), one]);
+        let inc = g.add_op(OpKind::Inc, vec![i]);
+        g.set_output("y", g.result(shr).unwrap());
+        g.set_output("i", g.result(inc).unwrap());
+        let sg = SchedGraph::build(&g, cls).unwrap();
+        let dense = [div, add, shr, inc].map(|op| sg.graph().index_of(op).unwrap());
+        (sg, dense)
+    }
+
     #[test]
-    fn dense_asap_alap_match_hashmap_versions() {
-        for (policy, cls) in [
-            ("typed", OpClassifier::typed()),
-            ("free-shift", OpClassifier::universal_free_shifts()),
-        ] {
-            for (name, g) in hls_workloads::all_benchmarks() {
-                let sg = SchedGraph::build(&g, &cls).unwrap();
-                let (asap_map, cp_map) = unconstrained_asap(&g, &cls).unwrap();
-                let (asap, cp) = sg.asap();
-                assert_eq!(cp, cp_map, "{policy}/{name}");
-                let alap_map = unconstrained_alap(&g, &cls, cp + 3).unwrap();
-                let alap = sg.alap(cp + 3);
-                for i in 0..sg.len() {
-                    let op = sg.op(i);
-                    assert_eq!(asap[i], asap_map[&op], "{policy}/{name} asap {op:?}");
-                    assert_eq!(alap[i], alap_map[&op], "{policy}/{name} alap {op:?}");
-                }
-            }
-        }
+    fn free_shift_chains_into_the_adder_step() {
+        let (sg, [div, add, shr, inc]) = fig2_body(&OpClassifier::universal_free_shifts());
+        let (asap, cp) = sg.asap();
+        assert_eq!((asap[div], asap[add], asap[shr], asap[inc]), (0, 1, 1, 0));
+        assert_eq!(cp, 2, "the paper's 2-step loop body");
+        let alap = sg.alap(2);
+        assert_eq!((alap[div], alap[add], alap[shr]), (0, 1, 1));
+        assert_eq!(alap[inc], 1, "inc can slide to the last step");
+
+        let (sg, [_, _, shr, _]) = fig2_body(&OpClassifier::universal());
+        let (asap, cp) = sg.asap();
+        assert_eq!((asap[shr], cp), (2, 3), "a step-taking shift adds a step");
+    }
+
+    #[test]
+    fn earliest_start_skips_wired_preds() {
+        let mut g = DataFlowGraph::new();
+        let c = g.add_const_value(Fx::ONE);
+        let x = g.add_input("x", 32);
+        let add = g.add_op(OpKind::Add, vec![x, c]);
+        g.set_output("y", g.result(add).unwrap());
+        let sg = SchedGraph::build(&g, &OpClassifier::universal()).unwrap();
+        let add = sg.graph().index_of(add).unwrap();
+        // The constant's slot holds garbage on purpose: it must be ignored.
+        let steps = vec![7; sg.len()];
+        assert_eq!(sg.earliest_start(&steps, add), 0);
+    }
+
+    /// BUD's priority counts every op on the longest chain to a sink,
+    /// itself included; branch-and-bound's tail counts step-taking ops.
+    #[test]
+    fn path_weights_count_the_chain_below() {
+        let mut g = DataFlowGraph::new();
+        let x = g.add_input("x", 32);
+        let c = g.add_const_value(Fx::from_i64(3));
+        let m = g.add_op(OpKind::Mul, vec![x, c]);
+        let a = g.add_op(OpKind::Add, vec![g.result(m).unwrap(), x]);
+        let s = g.add_op(OpKind::Shr, vec![g.result(a).unwrap(), c]);
+        let i = g.add_op(OpKind::Inc, vec![x]);
+        g.set_output("y", g.result(s).unwrap());
+        g.set_output("i", g.result(i).unwrap());
+        let sg = SchedGraph::build(&g, &OpClassifier::universal_free_shifts()).unwrap();
+        let idx = |op| sg.graph().index_of(op).unwrap();
+        let len = sg.path_weights(|_| 1);
+        let lens = [m, a, s, i].map(|op| len[idx(op)]);
+        assert_eq!(lens, [3, 2, 1, 1]);
+        let tail = sg.path_weights(|i| u32::from(sg.class(i).is_some()));
+        let tails = [m, a, s, i].map(|op| tail[idx(op)]);
+        assert_eq!(tails, [2, 1, 0, 1], "the free shift adds nothing");
     }
 
     #[test]
@@ -412,7 +494,6 @@ mod tests {
     /// ASAP = a:0, b:1, c:1, d:2; ALAP = a:1, b:2, c:2, d:3.
     #[test]
     fn diamond_bounds_by_hand() {
-        use hls_cdfg::{DataFlowGraph, OpKind};
         let mut g = DataFlowGraph::new();
         let x = g.add_input("x", 32);
         let a = g.add_op(OpKind::Inc, vec![x]);
@@ -442,7 +523,6 @@ mod tests {
     /// ops absorb all the slack.
     #[test]
     fn disconnected_chains_bounds_by_hand() {
-        use hls_cdfg::{DataFlowGraph, OpKind};
         let mut g = DataFlowGraph::new();
         let x = g.add_input("x", 32);
         let w0 = g.add_input("w", 32);
@@ -469,7 +549,6 @@ mod tests {
     /// special-casing.
     #[test]
     fn degenerate_blocks_have_sane_bounds() {
-        use hls_cdfg::{DataFlowGraph, OpKind};
         let cls = OpClassifier::universal();
 
         let empty = DataFlowGraph::new();
@@ -502,7 +581,7 @@ mod tests {
             });
             let cls = OpClassifier::typed();
             let sg = SchedGraph::build(&g, &cls).unwrap();
-            let (_, cp) = sg.asap();
+            let (asap, cp) = sg.asap();
             let w = sg.windows(cp + 4).unwrap();
             for i in 0..sg.len() {
                 assert!(w.lo[i] <= w.hi[i]);
@@ -510,6 +589,12 @@ mod tests {
                     assert!(w.hi[i] < cp + 4);
                 }
             }
+            let max_finish = (0..sg.len())
+                .filter(|&i| !sg.is_wired(i))
+                .map(|i| asap[i] + 1)
+                .max()
+                .unwrap_or(0);
+            assert_eq!(cp, max_finish, "critical path = latest ASAP finish");
         }
     }
 }

@@ -4,15 +4,18 @@
 
 use hls_cdfg::{BlockId, Cdfg};
 
-use crate::bb::branch_and_bound_schedule;
+use crate::alap::alap_schedule_graph;
+use crate::asap::asap_schedule_graph;
+use crate::bb::branch_and_bound_schedule_graph;
 use crate::bounds::SchedGraph;
 use crate::force::ForceScheduler;
 use crate::freedom::freedom_based_schedule_graph;
+use crate::hforce::HierForceScheduler;
 use crate::list::{list_schedule_graph, Priority};
 use crate::resource::{OpClassifier, ResourceLimits};
-use crate::schedule::CdfgSchedule;
-use crate::transform::transformational_schedule;
-use crate::{asap::asap_schedule, ScheduleError};
+use crate::schedule::{CdfgSchedule, Schedule};
+use crate::transform::transformational_schedule_graph;
+use crate::ScheduleError;
 
 /// Which scheduling algorithm to run on each block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -135,49 +138,40 @@ pub fn schedule_cdfg(
     schedule_cdfg_cached(cdfg, classifier, limits, algorithm, &cache)
 }
 
-/// [`schedule_cdfg`] against a prebuilt [`CdfgBoundsCache`] (which must
-/// have been built from the same `cdfg` and `classifier`): topological
-/// orders and ASAP/ALAP bounds are read from the cache instead of being
-/// recomputed per call.
+/// [`schedule_cdfg`] against a prebuilt [`CdfgBoundsCache`], which must
+/// have been built from `cdfg` under `classifier`: every algorithm
+/// schedules each block from its cached [`SchedGraph`], so topological
+/// orders and ASAP/ALAP bounds are never recomputed per call.
 ///
 /// # Errors
 ///
 /// Propagates the first per-block scheduling error.
 pub fn schedule_cdfg_cached(
-    cdfg: &Cdfg,
-    classifier: &OpClassifier,
+    _cdfg: &Cdfg,
+    _classifier: &OpClassifier,
     limits: &ResourceLimits,
     algorithm: Algorithm,
     cache: &CdfgBoundsCache,
 ) -> Result<CdfgSchedule, ScheduleError> {
     let mut out = CdfgSchedule::new();
     for (block, sg) in &cache.blocks {
-        let dfg = &cdfg.block(*block).dfg;
+        let deadline = |slack: u32| sg.asap().1.max(1) + slack;
         let schedule = match algorithm {
-            Algorithm::Asap => asap_schedule(dfg, classifier, limits)?,
-            Algorithm::Alap { slack } => alap_with_retry(dfg, classifier, limits, slack)?,
-            Algorithm::List(p) => list_schedule_graph(dfg, sg, limits, p)?,
+            Algorithm::Asap => asap_schedule_graph(sg, limits)?,
+            Algorithm::Alap { slack } => alap_with_retry(sg, limits, slack)?,
+            Algorithm::List(p) => list_schedule_graph(sg, limits, p)?,
             Algorithm::ForceDirected { slack } => {
-                let (_, cp) = sg.asap();
-                ForceScheduler::with_graph(sg.clone(), cp.max(1) + slack)?.finish()?
+                ForceScheduler::with_graph(sg.clone(), deadline(slack))?.finish()?
             }
             Algorithm::HierForce { slack, window } => {
-                let (_, cp) = sg.asap();
-                crate::hforce::HierForceScheduler::with_graph(
-                    sg.clone(),
-                    cp.max(1) + slack,
-                    window as usize,
-                )?
-                .finish_on(hls_par::shared())?
+                HierForceScheduler::with_graph(sg.clone(), deadline(slack), window as usize)?
+                    .finish_on(hls_par::shared())?
             }
-            Algorithm::FreedomBased { slack } => {
-                let (_, cp) = sg.asap();
-                freedom_based_schedule_graph(sg, cp.max(1) + slack)?
-            }
+            Algorithm::FreedomBased { slack } => freedom_based_schedule_graph(sg, deadline(slack))?,
             Algorithm::BranchAndBound { node_budget } => {
-                branch_and_bound_schedule(dfg, classifier, limits, node_budget)?
+                branch_and_bound_schedule_graph(sg, limits, node_budget)?
             }
-            Algorithm::Transformational => transformational_schedule(dfg, classifier, limits)?.0,
+            Algorithm::Transformational => transformational_schedule_graph(sg, limits)?.0,
         };
         out.insert(*block, schedule);
     }
@@ -190,16 +184,15 @@ pub fn schedule_cdfg_cached(
 /// deadline (`SearchBudgetExhausted`) is retried with a doubled horizon
 /// a few times before giving up.
 fn alap_with_retry(
-    dfg: &hls_cdfg::DataFlowGraph,
-    classifier: &OpClassifier,
+    sg: &SchedGraph,
     limits: &ResourceLimits,
     slack: u32,
-) -> Result<crate::schedule::Schedule, ScheduleError> {
-    let asap = asap_schedule(dfg, classifier, limits)?;
+) -> Result<Schedule, ScheduleError> {
+    let asap = asap_schedule_graph(sg, limits)?;
     let base = asap.num_steps().max(1).saturating_add(slack);
     let mut last = None;
     for attempt in 1..=4u32 {
-        match crate::alap::alap_schedule(dfg, classifier, limits, base.saturating_mul(attempt)) {
+        match alap_schedule_graph(sg, limits, base.saturating_mul(attempt)) {
             Ok(s) => return Ok(s),
             Err(e @ ScheduleError::SearchBudgetExhausted) => last = Some(e),
             Err(e) => return Err(e),

@@ -8,11 +8,11 @@
 
 use std::collections::HashMap;
 
-use hls_cdfg::{DataFlowGraph, OpId, OpKind};
+use hls_cdfg::{DataFlowGraph, DenseOpMap, OpKind};
 
-use crate::precedence::is_wired;
-use crate::resource::{OpClassifier, ResourceLimits};
-use crate::schedule::Schedule;
+use crate::bounds::SchedGraph;
+use crate::resource::{OpClassifier, ResourceLimits, StepUsage};
+use crate::schedule::{is_wired, Schedule};
 use crate::ScheduleError;
 
 /// Per-operator propagation delays in nanoseconds.
@@ -86,8 +86,8 @@ impl Default for DelayModel {
 pub struct ChainedSchedule {
     /// The control-step schedule.
     pub schedule: Schedule,
-    /// Nanosecond offset of each op within its step.
-    pub start_ns: HashMap<OpId, f64>,
+    /// Nanosecond offset of each op within its step (0 for wired ops).
+    pub start_ns: DenseOpMap<f64>,
     /// The longest combinational path in any step — the minimum feasible
     /// clock period for this schedule.
     pub critical_ns: f64,
@@ -122,13 +122,13 @@ impl ChainedSchedule {
             if is_wired(dfg, op) {
                 continue;
             }
-            let start = self.start_ns.get(&op).copied().unwrap_or(0.0);
+            let start = self.start_ns.get(op).copied().unwrap_or(0.0);
             for pred in dfg.preds(op) {
                 if is_wired(dfg, pred) {
                     continue;
                 }
                 let ps = self.schedule.step(pred).unwrap_or(0);
-                let pf = self.start_ns.get(&pred).copied().unwrap_or(0.0)
+                let pf = self.start_ns.get(pred).copied().unwrap_or(0.0)
                     + delays.delay(dfg.op(pred).kind);
                 let ok = ps < step || (ps == step && start + 1e-9 >= pf);
                 if !ok {
@@ -171,68 +171,60 @@ pub fn chained_schedule(
     delays: &DelayModel,
     cycle_ns: f64,
 ) -> Result<ChainedSchedule, ScheduleError> {
-    let order = dfg.topological_order()?;
+    let sg = SchedGraph::build(dfg, classifier)?;
+    let (classes, class_idx) = sg.dense_classes();
     let mut schedule = Schedule::new();
-    let mut start_ns: HashMap<OpId, f64> = HashMap::new();
-    let mut finish: HashMap<OpId, (u32, f64)> = HashMap::new(); // (step, ns at end)
-    let mut usage: HashMap<(crate::FuClass, u32), usize> = HashMap::new();
+    let mut start_ns = DenseOpMap::for_graph(dfg, 0.0);
+    // Per dense op: (step, ns at end). Wired ops finish at (0, 0 ns).
+    let mut finish = vec![(0u32, 0.0f64); sg.len()];
+    let mut usage = StepUsage::new(classes.len());
     let mut critical: f64 = 0.0;
 
-    for op in order {
-        if is_wired(dfg, op) {
+    for &i in sg.graph().topo() {
+        let i = i as usize;
+        let op = sg.op(i);
+        if sg.is_wired(i) {
             schedule.assign(op, 0);
-            start_ns.insert(op, 0.0);
-            finish.insert(op, (0, 0.0));
             continue;
         }
         let d = delays.delay(dfg.op(op).kind);
-        // Earliest feasible (step, ns) from predecessors.
-        let mut step = 0u32;
-        for pred in dfg.preds(op) {
-            if is_wired(dfg, pred) {
-                continue;
-            }
-            let (ps, pf) = finish[&pred];
-            // Chain into the pred's step if the path still fits.
-            let min = if pf + d <= cycle_ns { ps } else { ps + 1 };
-            step = step.max(min);
-        }
+        let preds: Vec<(u32, f64)> = sg
+            .graph()
+            .preds(i)
+            .iter()
+            .map(|&p| p as usize)
+            .filter(|&p| !sg.is_wired(p))
+            .map(|p| finish[p])
+            .collect();
+        // Earliest feasible step from predecessors: chain into a pred's
+        // step if the path still fits.
+        let mut step = preds
+            .iter()
+            .map(|&(ps, pf)| if pf + d <= cycle_ns { ps } else { ps + 1 })
+            .max()
+            .unwrap_or(0);
         loop {
             // Intra-step arrival time from chained predecessors.
-            let arrive = dfg
-                .preds(op)
+            let arrive = preds
                 .iter()
-                .filter(|p| !is_wired(dfg, **p))
-                .map(|p| {
-                    let (ps, pf) = finish[p];
-                    if ps == step {
-                        pf
-                    } else {
-                        0.0
-                    }
-                })
+                .map(|&(ps, pf)| if ps == step { pf } else { 0.0 })
                 .fold(0.0f64, f64::max);
             if arrive + d > cycle_ns && arrive > 0.0 {
                 step += 1;
                 continue;
             }
             // Resource check (free ops skip it).
-            if let Some(class) = classifier.classify(dfg, op) {
-                let limit = limits.limit(class);
-                if limit == 0 {
-                    return Err(ScheduleError::ZeroResource { class });
-                }
-                let u = usage.entry((class, step)).or_insert(0);
-                if *u >= limit {
+            if let Some(ci) = class_idx[i] {
+                if usage.get(ci, step) >= limits.nonzero(classes[ci])? {
                     step += 1;
                     continue;
                 }
-                *u += 1;
+                usage.add(ci, step);
             }
             let end = arrive + d;
             schedule.assign(op, step);
-            start_ns.insert(op, arrive);
-            finish.insert(op, (step, end));
+            start_ns[op] = arrive;
+            finish[i] = (step, end);
             critical = critical.max(end);
             break;
         }
@@ -247,6 +239,7 @@ pub fn chained_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hls_cdfg::OpId;
 
     /// add -> add -> add chain plus a mul.
     fn chain_graph() -> (DataFlowGraph, Vec<OpId>) {
@@ -277,7 +270,7 @@ mod tests {
         assert_eq!(cs.schedule.step(ops[0]), Some(0));
         assert_eq!(cs.schedule.step(ops[1]), Some(0));
         assert_eq!(cs.schedule.step(ops[2]), Some(0));
-        assert_eq!(cs.start_ns[&ops[2]], 40.0);
+        assert_eq!(cs.start_ns[ops[2]], 40.0);
         assert_eq!(cs.schedule.num_steps(), 1);
     }
 
@@ -345,7 +338,7 @@ mod tests {
         let mut cs = chained_schedule(&g, &cls, &limits, &dm, 100.0).unwrap();
         cs.verify(&g, &cls, &limits, &dm).unwrap();
         // Break it: pretend a2 starts before a1 finishes.
-        cs.start_ns.insert(ops[1], 0.0);
+        cs.start_ns[ops[1]] = 0.0;
         assert!(cs.verify(&g, &cls, &limits, &dm).is_err());
     }
 }

@@ -409,17 +409,8 @@ impl ForceScheduler {
             if self.placed[i] {
                 continue;
             }
-            let free = self.sg.is_free(i);
-            let mut s = 0;
-            for &p in self.sg.graph().preds(i) {
-                let p = p as usize;
-                if self.sg.is_wired(p) {
-                    continue;
-                }
-                s = s.max(if free { steps[p] } else { steps[p] + 1 });
-            }
-            steps[i] = s;
-            self.schedule.assign(self.sg.op(i), s);
+            steps[i] = self.sg.earliest_start(&steps, i);
+            self.schedule.assign(self.sg.op(i), steps[i]);
         }
         self.schedule.set_num_steps(self.deadline);
         Ok(self.schedule)
@@ -489,7 +480,6 @@ impl ForceScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precedence::unconstrained_asap;
     use crate::resource::ResourceLimits;
     use hls_workloads::figures::fig5_graph;
 
@@ -556,7 +546,7 @@ mod tests {
         let g = hls_workloads::benchmarks::ewf();
         let cls = OpClassifier::typed();
         let mut prev: Option<usize> = None;
-        let (_, cp) = unconstrained_asap(&g, &cls).unwrap();
+        let (_, cp) = SchedGraph::build(&g, &cls).unwrap().asap();
         for extra in [0, 2, 4] {
             let s = force_directed_schedule(&g, &cls, cp + extra).unwrap();
             s.validate(&g, &cls, &ResourceLimits::unlimited()).unwrap();

@@ -36,13 +36,9 @@ pub fn freedom_based_schedule(
     freedom_based_schedule_graph(&SchedGraph::build(dfg, classifier)?, deadline)
 }
 
-/// [`freedom_based_schedule`] from an already-built (possibly cached)
+/// [`freedom_based_schedule`] on an already-built (possibly cached)
 /// [`SchedGraph`].
-///
-/// # Errors
-///
-/// As [`freedom_based_schedule`], minus [`ScheduleError::Cycle`].
-pub fn freedom_based_schedule_graph(
+pub(crate) fn freedom_based_schedule_graph(
     sg: &SchedGraph,
     deadline: u32,
 ) -> Result<Schedule, ScheduleError> {
@@ -132,17 +128,8 @@ pub fn freedom_based_schedule_graph(
         if placed[i] {
             continue;
         }
-        let free = sg.is_free(i);
-        let mut s = 0;
-        for &p in sg.graph().preds(i) {
-            let p = p as usize;
-            if sg.is_wired(p) {
-                continue;
-            }
-            s = s.max(if free { lo[p] } else { lo[p] + 1 });
-        }
-        lo[i] = s;
-        schedule.assign(sg.op(i), s);
+        lo[i] = sg.earliest_start(&lo, i);
+        schedule.assign(sg.op(i), lo[i]);
     }
     schedule.set_num_steps(deadline);
     Ok(schedule)
@@ -151,7 +138,6 @@ pub fn freedom_based_schedule_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precedence::unconstrained_asap;
     use crate::resource::{FuClass, ResourceLimits};
 
     #[test]
@@ -191,7 +177,7 @@ mod tests {
     fn valid_on_all_benchmarks() {
         let cls = OpClassifier::typed();
         for (name, g) in hls_workloads::all_benchmarks() {
-            let (_, cp) = unconstrained_asap(&g, &cls).unwrap();
+            let (_, cp) = SchedGraph::build(&g, &cls).unwrap().asap();
             let s = freedom_based_schedule(&g, &cls, cp + 2).unwrap();
             s.validate(&g, &cls, &ResourceLimits::unlimited())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -19,8 +19,15 @@
 //! * [`schedule_cdfg`] — whole-behavior scheduling with loop-aware latency
 //!   (reproduces the paper's 23- and 10-step sqrt schedules).
 //!
+//! All of them run on one substrate, [`SchedGraph`]: a dense snapshot of a
+//! block's dependence graph under an [`OpClassifier`], with the cached
+//! topological order and the dependence-only ASAP/ALAP bounds — "the range
+//! of possible control step assignments for each operation" (§3.1.2) that
+//! every technique starts from. Each writes a dense [`Schedule`], and
+//! [`schedule_cdfg_cached`] reuses one graph per block across calls.
+//!
 //! ```
-//! use hls_sched::{asap_schedule, OpClassifier, ResourceLimits};
+//! use hls_sched::{asap_schedule, OpClassifier, ResourceLimits, SchedGraph};
 //! use hls_cdfg::{DataFlowGraph, OpKind};
 //!
 //! let mut dfg = DataFlowGraph::new();
@@ -29,9 +36,15 @@
 //! let b = dfg.add_op(OpKind::Neg, vec![dfg.result(a).unwrap()]);
 //! dfg.set_output("y", dfg.result(b).unwrap());
 //!
-//! let s = asap_schedule(&dfg, &OpClassifier::universal(),
-//!                       &ResourceLimits::single_universal())?;
+//! let cls = OpClassifier::universal();
+//! let s = asap_schedule(&dfg, &cls, &ResourceLimits::single_universal())?;
 //! assert_eq!(s.num_steps(), 2);
+//!
+//! // The bounds behind it: `b` can start no earlier than step 1.
+//! let sg = SchedGraph::build(&dfg, &cls)?;
+//! let (asap, critical_path) = sg.asap();
+//! assert_eq!(critical_path, 2);
+//! assert_eq!(asap[sg.graph().index_of(b).unwrap()], 1);
 //! # Ok::<(), hls_sched::ScheduleError>(())
 //! ```
 
@@ -50,7 +63,6 @@ mod freedom;
 mod hforce;
 mod list;
 mod pipeline;
-pub mod precedence;
 mod resource;
 mod schedule;
 mod transform;
@@ -63,9 +75,9 @@ pub use cdfg_sched::{schedule_cdfg, schedule_cdfg_cached, Algorithm, CdfgBoundsC
 pub use chain::{chained_schedule, ChainedSchedule, DelayModel};
 pub use error::ScheduleError;
 pub use force::{distribution_graphs, force_directed_schedule, DistributionGraphs, ForceScheduler};
-pub use freedom::{freedom_based_schedule, freedom_based_schedule_graph};
+pub use freedom::freedom_based_schedule;
 pub use hforce::{hier_force_schedule, HierForceScheduler, DEFAULT_WINDOW};
-pub use list::{list_schedule, list_schedule_graph, Priority};
+pub use list::{list_schedule, Priority};
 pub use pipeline::{pipeline_loop, reservation_table, PipelineResult};
 pub use resource::{ClassifierStyle, FuClass, OpClassifier, ResourceLimits};
 pub use schedule::{CdfgSchedule, Schedule};

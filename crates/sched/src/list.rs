@@ -55,23 +55,17 @@ pub fn list_schedule(
     limits: &ResourceLimits,
     priority: Priority,
 ) -> Result<Schedule, ScheduleError> {
-    list_schedule_graph(dfg, &SchedGraph::build(dfg, classifier)?, limits, priority)
+    list_schedule_graph(&SchedGraph::build(dfg, classifier)?, limits, priority)
 }
 
-/// [`list_schedule`] from an already-built (possibly cached)
-/// [`SchedGraph`] of `dfg`.
-///
-/// # Errors
-///
-/// As [`list_schedule`], minus [`ScheduleError::Cycle`].
-pub fn list_schedule_graph(
-    dfg: &DataFlowGraph,
+/// [`list_schedule`] on an already-built (possibly cached) [`SchedGraph`].
+pub(crate) fn list_schedule_graph(
     sg: &SchedGraph,
     limits: &ResourceLimits,
     priority: Priority,
 ) -> Result<Schedule, ScheduleError> {
     let n = sg.len();
-    let rank = compute_rank(dfg, sg, priority);
+    let rank = compute_rank(sg, priority);
     let (classes, class_idx) = sg.dense_classes();
     let mut schedule = Schedule::new();
     let mut scheduled = vec![false; n];
@@ -135,12 +129,8 @@ pub fn list_schedule_graph(
             // advances the step past an op's ready time, so this cannot
             // trigger on valid inputs; it guards against zero limits that
             // slipped through classification changes.
-            if let Some(i) = (0..n).find(|&i| !scheduled[i]) {
-                if let Some(class) = sg.class(i) {
-                    if limits.limit(class) == 0 {
-                        return Err(ScheduleError::ZeroResource { class });
-                    }
-                }
+            if let Some(class) = (0..n).find(|&i| !scheduled[i]).and_then(|i| sg.class(i)) {
+                limits.nonzero(class)?;
             }
             return Err(ScheduleError::SearchBudgetExhausted);
         }
@@ -164,11 +154,7 @@ pub fn list_schedule_graph(
             let Some(ci) = class_idx[i] else {
                 continue;
             };
-            let limit = limits.limit(classes[ci]);
-            if limit == 0 {
-                return Err(ScheduleError::ZeroResource { class: classes[ci] });
-            }
-            if used_now[ci] < limit {
+            if used_now[ci] < limits.nonzero(classes[ci])? {
                 used_now[ci] += 1;
                 land!(i, cs, free_ready);
             } // else deferred to the next step
@@ -179,14 +165,9 @@ pub fn list_schedule_graph(
 }
 
 /// Higher rank = scheduled earlier, as a dense vector.
-fn compute_rank(dfg: &DataFlowGraph, sg: &SchedGraph, priority: Priority) -> Vec<i64> {
+fn compute_rank(sg: &SchedGraph, priority: Priority) -> Vec<i64> {
     match priority {
-        Priority::PathLength => {
-            let lengths = hls_cdfg::analysis::path_length_to_sink(dfg);
-            (0..sg.len())
-                .map(|i| lengths.get(&sg.op(i)).copied().unwrap_or(0) as i64)
-                .collect()
-        }
+        Priority::PathLength => sg.path_weights(|_| 1).into_iter().map(i64::from).collect(),
         Priority::Urgency => {
             let (_, cp) = sg.asap();
             sg.alap(cp).iter().map(|&a| -(a as i64)).collect()

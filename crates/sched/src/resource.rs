@@ -4,6 +4,8 @@ use std::collections::BTreeMap;
 
 use hls_cdfg::{DataFlowGraph, OpId, OpKind, ValueDef};
 
+use crate::ScheduleError;
+
 /// A class of functional unit that can execute operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FuClass {
@@ -149,14 +151,6 @@ impl OpClassifier {
     pub fn is_free(&self, dfg: &DataFlowGraph, op: OpId) -> bool {
         self.classify(dfg, op).is_none()
     }
-
-    /// Adapter for [`hls_cdfg::analysis`] free-op callbacks, which work on
-    /// `&Operation` without graph context. Constant shifts are resolved
-    /// pessimistically (not free) by that adapter; use the id-based
-    /// [`OpClassifier::is_free`] wherever possible.
-    pub fn free_fn<'a>(&'a self, dfg: &'a DataFlowGraph) -> impl Fn(OpId) -> bool + 'a {
-        move |op| self.is_free(dfg, op)
-    }
 }
 
 fn is_const(dfg: &DataFlowGraph, v: hls_cdfg::ValueId) -> bool {
@@ -199,6 +193,15 @@ impl ResourceLimits {
         self.limits.get(&class).copied().unwrap_or(usize::MAX)
     }
 
+    /// The limit for `class`, or [`ScheduleError::ZeroResource`] when an
+    /// op needs a class with no units at all.
+    pub(crate) fn nonzero(&self, class: FuClass) -> Result<usize, ScheduleError> {
+        match self.limit(class) {
+            0 => Err(ScheduleError::ZeroResource { class }),
+            n => Ok(n),
+        }
+    }
+
     /// `true` when any class has a finite limit.
     pub fn is_constrained(&self) -> bool {
         !self.limits.is_empty()
@@ -207,6 +210,58 @@ impl ResourceLimits {
     /// Iterates the finite limits.
     pub fn iter(&self) -> impl Iterator<Item = (FuClass, usize)> + '_ {
         self.limits.iter().map(|(&c, &n)| (c, n))
+    }
+}
+
+/// Busy units per (class, control step), over the dense class indices of
+/// [`SchedGraph::dense_classes`](crate::SchedGraph::dense_classes): the
+/// occupancy table of the resource-constrained schedulers.
+#[derive(Clone, Debug)]
+pub(crate) struct StepUsage {
+    per_class: Vec<Vec<usize>>,
+}
+
+impl StepUsage {
+    /// An empty table for `classes` dense classes.
+    pub(crate) fn new(classes: usize) -> Self {
+        StepUsage {
+            per_class: vec![Vec::new(); classes],
+        }
+    }
+
+    /// Units of class `ci` busy in `step`.
+    pub(crate) fn get(&self, ci: usize, step: u32) -> usize {
+        self.per_class[ci].get(step as usize).copied().unwrap_or(0)
+    }
+
+    /// Occupies one more unit of class `ci` in `step`.
+    pub(crate) fn add(&mut self, ci: usize, step: u32) {
+        let steps = &mut self.per_class[ci];
+        let s = step as usize;
+        if steps.len() <= s {
+            steps.resize(s + 1, 0);
+        }
+        steps[s] += 1;
+    }
+
+    /// Releases one unit of class `ci` in `step`.
+    pub(crate) fn remove(&mut self, ci: usize, step: u32) {
+        if let Some(u) = self.per_class[ci].get_mut(step as usize) {
+            *u = u.saturating_sub(1);
+        }
+    }
+
+    /// The earliest `(step, class)` whose occupancy exceeds `limit(class)`,
+    /// ties to the lowest class index.
+    pub(crate) fn first_over(&self, limit: impl Fn(usize) -> usize) -> Option<(u32, usize)> {
+        self.per_class
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, steps)| {
+                let over = steps.iter().position(|&u| u > limit(ci))?;
+                Some((over as u32, ci))
+            })
+            .min()
     }
 }
 

@@ -2,16 +2,21 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use hls_cdfg::{BlockId, Cdfg, DataFlowGraph, LoopKind, OpId, Region};
+use hls_cdfg::{BlockId, Cdfg, DataFlowGraph, LoopKind, OpId, OpKind, Region};
 
 use crate::error::ScheduleError;
 use crate::resource::{FuClass, OpClassifier, ResourceLimits};
 
 /// A schedule of one basic block: a control step (0-based) for every live,
 /// step-taking operation, plus the step at which free ops logically occur.
+///
+/// Steps are stored densely, one slot per arena ordinal
+/// ([`OpId::index`](hls_cdfg::Id::index)), so lookups never hash and
+/// iteration runs in ascending id order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schedule {
-    steps: HashMap<OpId, u32>,
+    steps: Vec<Option<u32>>,
+    len: usize,
     num_steps: u32,
 }
 
@@ -23,13 +28,19 @@ impl Schedule {
 
     /// Assigns `op` to `step`, growing the step count as needed.
     pub fn assign(&mut self, op: OpId, step: u32) {
-        self.steps.insert(op, step);
+        let i = op.index();
+        if self.steps.len() <= i {
+            self.steps.resize(i + 1, None);
+        }
+        if self.steps[i].replace(step).is_none() {
+            self.len += 1;
+        }
         self.num_steps = self.num_steps.max(step + 1);
     }
 
     /// The step of `op`, if scheduled.
     pub fn step(&self, op: OpId) -> Option<u32> {
-        self.steps.get(&op).copied()
+        self.steps.get(op.index()).copied().flatten()
     }
 
     /// Total number of control steps. Empty blocks take zero steps.
@@ -37,36 +48,36 @@ impl Schedule {
         self.num_steps
     }
 
-    /// Overrides the step count (used when trailing steps are reserved).
+    /// Raises the step count to at least `n` (used when trailing steps
+    /// are reserved, e.g. up to a deadline); never lowers it.
     pub fn set_num_steps(&mut self, n: u32) {
         self.num_steps = self.num_steps.max(n);
     }
 
     /// Number of scheduled operations.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.len
     }
 
     /// `true` when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.len == 0
     }
 
-    /// Iterates `(op, step)` pairs in unspecified order.
+    /// Iterates `(op, step)` pairs in ascending op-id order.
     pub fn iter(&self) -> impl Iterator<Item = (OpId, u32)> + '_ {
-        self.steps.iter().map(|(&o, &s)| (o, s))
+        self.steps
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|s| (OpId::from_raw(i as u32), s)))
     }
 
-    /// Ops in `step`, sorted by id for determinism.
+    /// Ops in `step`, in ascending id order.
     pub fn ops_in_step(&self, step: u32) -> Vec<OpId> {
-        let mut v: Vec<OpId> = self
-            .steps
-            .iter()
-            .filter(|(_, &s)| s == step)
-            .map(|(&o, _)| o)
-            .collect();
-        v.sort();
-        v
+        self.iter()
+            .filter(|&(_, s)| s == step)
+            .map(|(o, _)| o)
+            .collect()
     }
 
     /// Per-class FU usage of each step, and the implied FU allocation
@@ -111,12 +122,12 @@ impl Schedule {
                     op: format!("{op:?}"),
                 });
             };
-            if crate::precedence::is_wired(dfg, op) {
+            if is_wired(dfg, op) {
                 continue; // constants have no timing constraints
             }
             let op_free = classifier.is_free(dfg, op);
             for pred in dfg.preds(op) {
-                if crate::precedence::is_wired(dfg, pred) {
+                if is_wired(dfg, pred) {
                     continue;
                 }
                 let ps = self.step(pred).ok_or_else(|| ScheduleError::Unscheduled {
@@ -176,6 +187,12 @@ impl Schedule {
         }
         s
     }
+}
+
+/// `true` for operations with no timing footprint at all: constants,
+/// whose value is always available.
+pub(crate) fn is_wired(dfg: &DataFlowGraph, op: OpId) -> bool {
+    dfg.op(op).kind == OpKind::Const
 }
 
 /// A schedule for a whole behavior: one [`Schedule`] per block.

@@ -9,12 +9,12 @@
 //! — defer one op out of an over-subscribed step — until every resource
 //! limit is met.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
-use hls_cdfg::{analysis, DataFlowGraph, OpId};
+use hls_cdfg::{DataFlowGraph, OpId};
 
-use crate::precedence::{earliest_start, is_wired};
-use crate::resource::{FuClass, OpClassifier, ResourceLimits};
+use crate::bounds::SchedGraph;
+use crate::resource::{OpClassifier, ResourceLimits, StepUsage};
 use crate::schedule::Schedule;
 use crate::ScheduleError;
 
@@ -40,88 +40,80 @@ pub fn transformational_schedule(
     classifier: &OpClassifier,
     limits: &ResourceLimits,
 ) -> Result<(Schedule, Vec<Move>), ScheduleError> {
+    transformational_schedule_graph(&SchedGraph::build(dfg, classifier)?, limits)
+}
+
+/// [`transformational_schedule`] on an already-built (possibly cached)
+/// [`SchedGraph`].
+pub(crate) fn transformational_schedule_graph(
+    sg: &SchedGraph,
+    limits: &ResourceLimits,
+) -> Result<(Schedule, Vec<Move>), ScheduleError> {
+    let n = sg.len();
+    let (classes, class_idx) = sg.dense_classes();
+    let mut limit = Vec::with_capacity(classes.len());
+    for &class in &classes {
+        limit.push(limits.nonzero(class)?);
+    }
     // Maximally parallel start.
-    let (mut steps, _) = crate::precedence::unconstrained_asap(dfg, classifier)?;
-    let priority = analysis::path_length_to_sink(dfg);
+    let (mut steps, _) = sg.asap();
+    let priority = sg.path_weights(|_| 1);
     let mut moves = Vec::new();
 
     // Defensive bound: each move strictly increases the sum of steps, which
     // is bounded by ops * serial_length.
-    let op_count = dfg.live_op_count() as u64;
-    let max_moves = op_count * op_count + 256;
+    let max_moves = (n as u64) * (n as u64) + 256;
 
     loop {
-        match first_violation(dfg, classifier, limits, &steps)? {
-            None => break,
-            Some((class, step)) => {
-                // Serialize: among this step's ops of the violating class,
-                // defer the one with the least downstream weight.
-                let mut candidates: Vec<OpId> = steps
-                    .iter()
-                    .filter(|(&op, &s)| s == step && classifier.classify(dfg, op) == Some(class))
-                    .map(|(&op, _)| op)
-                    .collect();
-                candidates.sort_by_key(|op| (priority[op], std::cmp::Reverse(*op)));
-                let victim = candidates[0];
-                let to = step + 1;
-                moves.push(Move {
-                    op: victim,
-                    from: step,
-                    to,
-                });
-                steps.insert(victim, to);
-                ripple_forward(dfg, classifier, &mut steps, victim);
-                if moves.len() as u64 > max_moves {
-                    return Err(ScheduleError::SearchBudgetExhausted);
-                }
+        let mut usage = StepUsage::new(classes.len());
+        for (i, ci) in class_idx.iter().enumerate() {
+            if let Some(ci) = *ci {
+                usage.add(ci, steps[i]);
             }
+        }
+        // The earliest over-subscribed (step, class); ties between classes
+        // go to the lowest class.
+        let Some((step, ci)) = usage.first_over(|ci| limit[ci]) else {
+            break;
+        };
+        // Serialize: among this step's ops of the violating class, defer
+        // the one with the least downstream weight (ties to the highest id).
+        let Some(victim) = (0..n)
+            .filter(|&i| steps[i] == step && class_idx[i] == Some(ci))
+            .min_by_key(|&i| (priority[i], Reverse(i)))
+        else {
+            break;
+        };
+        let to = step + 1;
+        moves.push(Move {
+            op: sg.op(victim),
+            from: step,
+            to,
+        });
+        steps[victim] = to;
+        ripple_forward(sg, &mut steps, victim);
+        if moves.len() as u64 > max_moves {
+            return Err(ScheduleError::SearchBudgetExhausted);
         }
     }
 
     let mut schedule = Schedule::new();
-    for (&op, &s) in &steps {
-        schedule.assign(op, if is_wired(dfg, op) { 0 } else { s });
+    for (i, &s) in steps.iter().enumerate() {
+        schedule.assign(sg.op(i), if sg.is_wired(i) { 0 } else { s });
     }
     Ok((schedule, moves))
 }
 
-/// The earliest `(class, step)` whose usage exceeds its limit.
-fn first_violation(
-    dfg: &DataFlowGraph,
-    classifier: &OpClassifier,
-    limits: &ResourceLimits,
-    steps: &HashMap<OpId, u32>,
-) -> Result<Option<(FuClass, u32)>, ScheduleError> {
-    let mut usage: HashMap<(FuClass, u32), usize> = HashMap::new();
-    for (&op, &s) in steps {
-        if let Some(class) = classifier.classify(dfg, op) {
-            if limits.limit(class) == 0 {
-                return Err(ScheduleError::ZeroResource { class });
-            }
-            *usage.entry((class, s)).or_insert(0) += 1;
-        }
-    }
-    Ok(usage
-        .into_iter()
-        .filter(|((class, _), n)| *n > limits.limit(*class))
-        .map(|((class, step), _)| (class, step))
-        .min_by_key(|&(_, step)| step))
-}
-
 /// Re-establishes precedence after `moved` slid later: every transitive
 /// successor shifts to its new earliest start if needed.
-fn ripple_forward(
-    dfg: &DataFlowGraph,
-    classifier: &OpClassifier,
-    steps: &mut HashMap<OpId, u32>,
-    moved: OpId,
-) {
+fn ripple_forward(sg: &SchedGraph, steps: &mut [u32], moved: usize) {
     let mut work = vec![moved];
     while let Some(op) = work.pop() {
-        for succ in dfg.succs(op) {
-            let min = earliest_start(dfg, classifier, steps, succ);
-            if steps[&succ] < min {
-                steps.insert(succ, min);
+        for &succ in sg.graph().succs(op) {
+            let succ = succ as usize;
+            let min = sg.earliest_start(steps, succ);
+            if steps[succ] < min {
+                steps[succ] = min;
                 work.push(succ);
             }
         }
@@ -131,6 +123,7 @@ fn ripple_forward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resource::FuClass;
     use hls_workloads::figures::fig3_graph;
 
     #[test]

@@ -11,7 +11,6 @@
 //!   under the limits each scheduler was given (unlimited for the
 //!   time-constrained ones, whose FU count is an output).
 
-use hls_sched::precedence::{unconstrained_alap, unconstrained_asap};
 use hls_sched::{
     alap_schedule, asap_schedule, force_directed_schedule, freedom_based_schedule,
     hier_force_schedule, list_schedule, ForceScheduler, HierForceScheduler, OpClassifier, Priority,
@@ -47,18 +46,20 @@ fn assert_bounds(
     classifier: &OpClassifier,
     label: &str,
 ) {
-    let (asap, _) = unconstrained_asap(dfg, classifier).expect("acyclic");
+    let sg = SchedGraph::build(dfg, classifier).expect("acyclic");
+    let (asap, _) = sg.asap();
     let deadline = s.num_steps().max(1);
-    let alap = unconstrained_alap(dfg, classifier, deadline).expect("acyclic");
+    let alap = sg.alap(deadline);
     for (op, step) in s.iter() {
-        if let Some(&lo) = asap.get(&op) {
+        let i = sg.graph().index_of(op);
+        if let Some(lo) = i.map(|i| asap[i]) {
             assert!(
                 step >= lo,
                 "{label}: op {op:?} at step {step} before its ASAP bound {lo}"
             );
         }
         if classifier.classify(dfg, op).is_some() {
-            if let Some(&hi) = alap.get(&op) {
+            if let Some(hi) = i.map(|i| alap[i]) {
                 assert!(
                     step <= hi,
                     "{label}: op {op:?} at step {step} past its ALAP bound {hi} \
@@ -87,7 +88,9 @@ fn resource_constrained_schedulers_respect_bounds_and_limits() {
             assert_bounds(&s, &dfg, &classifier, p.name());
             // List scheduling never beats the dependence-only critical
             // path and never loses to fully serial execution.
-            let (_, cp) = unconstrained_asap(&dfg, &classifier).expect("acyclic");
+            let (_, cp) = SchedGraph::build(&dfg, &classifier)
+                .expect("acyclic")
+                .asap();
             assert!(s.num_steps() >= cp);
             assert!(s.num_steps() <= inst.dag.ops as u32);
         }
@@ -125,7 +128,9 @@ fn time_constrained_schedulers_meet_the_deadline() {
     forall(&Config::cases(48), gen_instance, |inst| {
         let dfg = random_dag(&inst.dag);
         for classifier in [OpClassifier::universal(), OpClassifier::typed()] {
-            let (_, cp) = unconstrained_asap(&dfg, &classifier).expect("acyclic");
+            let (_, cp) = SchedGraph::build(&dfg, &classifier)
+                .expect("acyclic")
+                .asap();
             let slack = (inst.fus as u32) % 3; // deterministic 0..=2
             let deadline = (cp + slack).max(1);
             let unlimited = ResourceLimits::unlimited();
@@ -208,7 +213,9 @@ fn hier_force_with_covering_window_is_step_identical_to_force() {
     forall(&Config::cases(128), gen_instance, |inst| {
         let dfg = random_dag(&inst.dag);
         for classifier in [OpClassifier::universal(), OpClassifier::typed()] {
-            let (_, cp) = unconstrained_asap(&dfg, &classifier).expect("acyclic");
+            let (_, cp) = SchedGraph::build(&dfg, &classifier)
+                .expect("acyclic")
+                .asap();
             let slack = (inst.fus as u32) % 3; // deterministic 0..=2
             let deadline = (cp + slack).max(1);
             let flat = force_directed_schedule(&dfg, &classifier, deadline).expect("force");
@@ -236,7 +243,9 @@ fn hier_force_small_windows_stay_valid_and_deterministic() {
     forall(&Config::cases(128), gen_instance, |inst| {
         let dfg = random_dag(&inst.dag);
         let classifier = OpClassifier::universal();
-        let (_, cp) = unconstrained_asap(&dfg, &classifier).expect("acyclic");
+        let (_, cp) = SchedGraph::build(&dfg, &classifier)
+            .expect("acyclic")
+            .asap();
         let deadline = cp.max(1); // zero slack: latency is the critical path
         let window = 1 + inst.fus % 3; // deterministic 1..=3
         let s = hier_force_schedule(&dfg, &classifier, deadline, window).expect("hforce");
@@ -283,7 +292,7 @@ fn hier_force_matches_flat_quality_on_medium_graphs() {
             seed,
         });
         let cls = OpClassifier::typed();
-        let (_, cp) = unconstrained_asap(&dfg, &cls).expect("acyclic");
+        let (_, cp) = SchedGraph::build(&dfg, &cls).expect("acyclic").asap();
         let deadline = cp + 4;
         let flat = force_directed_schedule(&dfg, &cls, deadline).expect("force");
         let hier = hier_force_schedule(&dfg, &cls, deadline, 32).expect("hforce");
@@ -304,7 +313,9 @@ fn too_short_deadlines_error_instead_of_clamping() {
     forall(&Config::cases(32), gen_instance, |inst| {
         let dfg = random_dag(&inst.dag);
         let classifier = OpClassifier::universal();
-        let (_, cp) = unconstrained_asap(&dfg, &classifier).expect("acyclic");
+        let (_, cp) = SchedGraph::build(&dfg, &classifier)
+            .expect("acyclic")
+            .asap();
         if cp < 2 {
             return; // no deadline strictly below the critical path exists
         }

@@ -157,22 +157,4 @@ mod tests {
             assert!(!g.outputs().is_empty());
         }
     }
-
-    #[test]
-    fn narrow_window_makes_deep_graphs() {
-        use hls_cdfg::analysis;
-        let deep = random_dag(&RandomDagConfig {
-            ops: 60,
-            window: 2,
-            ..Default::default()
-        });
-        let wide = random_dag(&RandomDagConfig {
-            ops: 60,
-            window: 60,
-            ..Default::default()
-        });
-        let (_, cp_deep) = analysis::asap_levels(&deep, &analysis::no_free_ops).unwrap();
-        let (_, cp_wide) = analysis::asap_levels(&wide, &analysis::no_free_ops).unwrap();
-        assert!(cp_deep > cp_wide, "{cp_deep} vs {cp_wide}");
-    }
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // need as the deadline relaxes?
     println!("\nforce-directed scheduling (time-constrained):");
     println!("  deadline  alus  muls");
-    let (_, cp) = hls::sched::precedence::unconstrained_asap(&g, &cls)?;
+    let (_, cp) = hls::sched::SchedGraph::build(&g, &cls)?.asap();
     for slack in [0, 2, 4, 8] {
         let s = force_directed_schedule(&g, &cls, cp + slack)?;
         let usage = s.fu_usage(&g, &cls);

@@ -82,7 +82,7 @@ fn fds_meets_deadline() {
         |&(ops, seed, slack)| {
             let g = random_dag(&cfg(ops, 6, seed));
             let cls = OpClassifier::universal();
-            let (_, cp) = hls::sched::precedence::unconstrained_asap(&g, &cls).unwrap();
+            let (_, cp) = hls::sched::SchedGraph::build(&g, &cls).unwrap().asap();
             let s = force_directed_schedule(&g, &cls, cp + slack).unwrap();
             s.validate(&g, &cls, &ResourceLimits::unlimited()).unwrap();
             assert!(s.num_steps() <= cp + slack);
