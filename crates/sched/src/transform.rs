@@ -51,10 +51,10 @@ pub(crate) fn transformational_schedule_graph(
 ) -> Result<(Schedule, Vec<Move>), ScheduleError> {
     let n = sg.len();
     let (classes, class_idx) = sg.dense_classes();
-    let mut limit = Vec::with_capacity(classes.len());
-    for &class in &classes {
-        limit.push(limits.nonzero(class)?);
-    }
+    let limit = classes
+        .iter()
+        .map(|&class| limits.nonzero(class))
+        .collect::<Result<Vec<_>, _>>()?;
     // Maximally parallel start.
     let (mut steps, _) = sg.asap();
     let priority = sg.path_weights(|_| 1);
