@@ -7,10 +7,14 @@
 //!   historical numbers survive regeneration.
 //! * `perf_gate --check <path>` — run the suite, print a before/after
 //!   table, and exit non-zero when any benchmark regressed more than the
-//!   baseline's threshold (calibration-rescaled; see `hls_bench::gate`),
-//!   or when the hierarchical-scheduler tier lost its sub-quadratic
-//!   scaling (`hls_bench::suite::check_hforce_scaling` — enforced in
-//!   both modes, so a baseline can never launder a quadratic regression).
+//!   baseline's threshold (calibration-rescaled; see `hls_bench::gate`).
+//!   It prints the baseline's and this host's `nproc` and warns when
+//!   they differ.
+//!
+//! Both modes first enforce the scaling checks
+//! (`hls_bench::suite::scaling_checks`): the hierarchical scheduler and
+//! the microcode field encoder must stay sub-quadratic across their 4×
+//! op step, so a baseline can never launder a quadratic regression.
 //!
 //! Sample counts come from the usual harness knobs (`HLS_BENCH_SAMPLES`,
 //! `HLS_BENCH_WARMUP`), so CI can run a short gate while local tuning
@@ -24,7 +28,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use hls_bench::gate::{compare_with, env_tolerance_pct, format_nanos, GateReport};
-use hls_bench::suite::{check_hforce_scaling, gate_sizes, run_suite, MAX_HFORCE_SCALING_RATIO};
+use hls_bench::suite::{check_scaling, gate_sizes, run_suite, scaling_checks};
 
 fn usage() -> ExitCode {
     eprintln!("usage: perf_gate --write <path> | --check <path>");
@@ -45,16 +49,22 @@ fn main() -> ExitCode {
         format_nanos(started.elapsed().as_nanos() as u64),
         report.benchmarks.len()
     );
-    // The asymptotic claim is absolute, not baseline-relative: check it
-    // before either mode publishes anything.
-    match check_hforce_scaling(&report, &sizes) {
-        Ok(ratio) => println!(
-            "hforce scaling {ratio:.2}x across a 4x op step (limit {MAX_HFORCE_SCALING_RATIO}x)"
-        ),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
+    // The asymptotic claims are absolute, not baseline-relative: check
+    // them before either mode publishes anything.
+    let mut scaling_failed = false;
+    for (tier, small, large, limit) in scaling_checks(&sizes) {
+        match check_scaling(&report, tier, small, large, limit) {
+            Ok(ratio) => {
+                println!("{tier} scaling {ratio:.2}x from {small} to {large} ops (limit {limit}x)")
+            }
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                scaling_failed = true;
+            }
         }
+    }
+    if scaling_failed {
+        return ExitCode::FAILURE;
     }
     match mode {
         "--write" => {
@@ -86,6 +96,18 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
+            let show = |n: Option<usize>| n.map_or("unrecorded".to_string(), |n| n.to_string());
+            println!(
+                "nproc: baseline {}, this host {}",
+                show(baseline.nproc),
+                show(report.nproc)
+            );
+            if baseline.nproc != report.nproc {
+                eprintln!(
+                    "warning: the baseline was recorded with a different nproc; \
+                     multi-threaded entries are not comparable"
+                );
+            }
             let tolerance = env_tolerance_pct();
             let outcome = compare_with(&baseline, &report, tolerance);
             println!(

@@ -44,6 +44,11 @@ pub struct GateReport {
     pub threshold_pct: f64,
     /// Minimum nanos of the calibration workload on the recording machine.
     pub calibration_nanos: u64,
+    /// Logical CPUs of the recording machine
+    /// (`std::thread::available_parallelism`); `None` in reports written
+    /// before it was recorded. Multi-threaded entries such as
+    /// `explore/pruned-vs-exhaustive` only compare across equal counts.
+    pub nproc: Option<usize>,
     /// Minimum nanos per benchmark label.
     pub benchmarks: BTreeMap<String, u64>,
     /// Historical reference points that are *not* gated — e.g. the
@@ -59,6 +64,9 @@ impl GateReport {
         let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
         let _ = writeln!(s, "  \"threshold_pct\": {},", self.threshold_pct);
         let _ = writeln!(s, "  \"calibration_nanos\": {},", self.calibration_nanos);
+        if let Some(nproc) = self.nproc {
+            let _ = writeln!(s, "  \"nproc\": {nproc},");
+        }
         let render_map = |s: &mut String, name: &str, map: &BTreeMap<String, u64>, last: bool| {
             let _ = writeln!(s, "  \"{name}\": {{");
             for (i, (k, v)) in map.iter().enumerate() {
@@ -100,6 +108,11 @@ impl GateReport {
             Some(Json::Number(n)) if *n >= 1.0 => *n as u64,
             _ => return Err("missing or non-positive \"calibration_nanos\"".into()),
         };
+        let nproc = match top.get("nproc") {
+            None => None,
+            Some(Json::Number(n)) if *n >= 1.0 => Some(*n as usize),
+            Some(_) => return Err("\"nproc\" is not a positive number".into()),
+        };
         let read_map = |key: &str| -> Result<BTreeMap<String, u64>, String> {
             let mut out = BTreeMap::new();
             match top.get(key) {
@@ -121,6 +134,7 @@ impl GateReport {
         Ok(GateReport {
             threshold_pct,
             calibration_nanos,
+            nproc,
             benchmarks: read_map("benchmarks")?,
             reference: read_map("reference")?,
         })
@@ -420,6 +434,7 @@ mod tests {
         GateReport {
             threshold_pct: 25.0,
             calibration_nanos: 40_000_000,
+            nproc: Some(2),
             benchmarks: [("sched/force/synth-2048".to_string(), 900_000_000u64)]
                 .into_iter()
                 .collect(),
@@ -437,6 +452,27 @@ mod tests {
         let r = sample();
         let parsed = GateReport::parse(&r.to_json()).unwrap();
         assert_eq!(parsed, r);
+    }
+
+    #[test]
+    fn nproc_round_trips_and_may_be_absent() {
+        let r = sample();
+        let text = r.to_json();
+        assert!(text.contains("\"nproc\": 2,"), "{text}");
+        assert_eq!(GateReport::parse(&text).unwrap().nproc, Some(2));
+        // A baseline written before `nproc` was recorded still loads.
+        let old = text.replace("  \"nproc\": 2,\n", "");
+        assert!(!old.contains("nproc"));
+        let parsed = GateReport::parse(&old).unwrap();
+        assert_eq!(parsed.nproc, None);
+        assert_eq!(parsed.benchmarks, r.benchmarks);
+        let unrecorded = GateReport { nproc: None, ..r };
+        assert_eq!(
+            GateReport::parse(&unrecorded.to_json()).unwrap(),
+            unrecorded
+        );
+        let bad = text.replace("\"nproc\": 2", "\"nproc\": 0");
+        assert!(GateReport::parse(&bad).unwrap_err().contains("nproc"));
     }
 
     #[test]

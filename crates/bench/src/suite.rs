@@ -12,17 +12,20 @@
 //! The suite is parameterized by [`SuiteSizes`] so the same constructor
 //! serves two masters: [`gate_sizes`] (the CI workloads, up to the
 //! 65536-op hierarchical-scheduler tier) and [`smoke_sizes`] (tiny
-//! graphs the debug-mode unit test can afford). The hierarchical tier
-//! also carries the asymptotic claim: [`check_hforce_scaling`] fails
-//! the gate when the 4×-ops step from `synth-16384` to `synth-65536`
-//! costs more than [`MAX_HFORCE_SCALING_RATIO`]× — a quadratic
-//! regression (the flat scheduler's behavior) would cost ≥16×.
+//! graphs the debug-mode unit test can afford). Two tiers also carry
+//! asymptotic claims, which [`check_scaling`] enforces over the 4×-ops
+//! step between their two sizes (see [`scaling_checks`]): the
+//! hierarchical scheduler (`sched/hforce`, at most
+//! [`MAX_HFORCE_SCALING_RATIO`]×, where the flat scheduler's quadratic
+//! behavior would cost ≥16×) and the microcode field encoder
+//! (`ctrl/microcode`, at most [`MAX_MICROCODE_SCALING_RATIO`]×, where
+//! the all-pairs conflict graph it replaced cost about 15×).
 //!
-//! The control tier (`ctrl/hardwired/synth-*`) times hardwired control
-//! logic alone. It has no scaling check: exact two-level minimization
-//! enumerates every implicant of each function, so its cost grows
-//! superlinearly (about 7× per 4× ops here), and only the relative gate
-//! holds it.
+//! The hardwired control tier (`ctrl/hardwired/synth-*`) times hardwired
+//! control logic alone. It has no scaling check: exact two-level
+//! minimization enumerates every implicant of each function, so its cost
+//! grows superlinearly (about 7× per 4× ops here), and only the relative
+//! gate holds it.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +35,7 @@ use hls_alloc::{
 };
 use hls_cdfg::{Cdfg, Region};
 use hls_core::{pareto_front, ControlStyle, Estimator, Explorer, GridSpec, Synthesizer};
-use hls_ctrl::{hardwired_logic, EncodingStyle};
+use hls_ctrl::{hardwired_logic, microcode, EncodingStyle, Fsm};
 use hls_sched::{
     force_directed_schedule, freedom_based_schedule, hier_force_schedule, list_schedule, Algorithm,
     FuClass, OpClassifier, Priority, ResourceLimits, SchedGraph, DEFAULT_WINDOW,
@@ -48,8 +51,14 @@ const SYNTH_SLACK: u32 = 8;
 
 /// Gate ceiling for `t(hforce, 4n) / t(hforce, n)`: comfortably above
 /// the ~4× a linear-ish scheduler costs (plus pool/cache noise), far
-/// below the 16× a quadratic one would take. See [`check_hforce_scaling`].
+/// below the 16× a quadratic one would take. See [`check_scaling`].
 pub const MAX_HFORCE_SCALING_RATIO: f64 = 10.0;
+
+/// Gate ceiling for `t(microcode, 4n) / t(microcode, n)`. The used-field
+/// encoder grows with (signal, state) incidences times the field count,
+/// about 4–5× per 4× ops; the all-pairs conflict graph it replaced grows
+/// with the square of each state's signal count, about 15×.
+pub const MAX_MICROCODE_SCALING_RATIO: f64 = 8.0;
 
 /// Workload sizes the suite constructor scales by.
 #[derive(Clone, Debug)]
@@ -58,9 +67,8 @@ pub struct SuiteSizes {
     pub force_small: usize,
     /// Ops in the large synthetic DAG (flat force, list, lifetime entries).
     pub force_large: usize,
-    /// Ops per hierarchical-force tier entry (ascending; the scaling
-    /// check compares the last against the first).
-    pub hforce: Vec<usize>,
+    /// Ops of the two hierarchical-force tier entries (small, large).
+    pub hforce: [usize; 2],
     /// Vertices in the random FU-compatibility graph.
     pub clique_n: usize,
     /// Ops in the clique-FU allocation DAG.
@@ -69,6 +77,8 @@ pub struct SuiteSizes {
     pub explore_ops: usize,
     /// Ops per hardwired-control tier entry.
     pub ctrl: Vec<usize>,
+    /// Ops of the two microcode tier entries (small, large).
+    pub microcode: [usize; 2],
 }
 
 /// The CI gate workloads (the sizes behind `BENCH_5.json`).
@@ -76,11 +86,12 @@ pub fn gate_sizes() -> SuiteSizes {
     SuiteSizes {
         force_small: 512,
         force_large: 2048,
-        hforce: vec![16384, 65536],
+        hforce: [16384, 65536],
         clique_n: 64,
         alloc_fu: 192,
         explore_ops: 256,
         ctrl: vec![512, 2048],
+        microcode: [2048, 8192],
     }
 }
 
@@ -90,11 +101,12 @@ pub fn smoke_sizes() -> SuiteSizes {
     SuiteSizes {
         force_small: 24,
         force_large: 48,
-        hforce: vec![64, 96],
+        hforce: [64, 96],
         clique_n: 12,
         alloc_fu: 16,
         explore_ops: 16,
         ctrl: vec![16, 32],
+        microcode: [16, 64],
     }
 }
 
@@ -160,6 +172,15 @@ fn single_block_cdfg(dfg: hls_cdfg::DataFlowGraph) -> Cdfg {
     let b = cdfg.add_block("body", dfg);
     cdfg.set_body(Region::Block(b));
     cdfg
+}
+
+/// The controller the default flow builds for the one-block synthetic
+/// DAG of `ops` operations (the control tiers' input).
+fn default_flow_fsm(ops: usize) -> Fsm {
+    Synthesizer::new()
+        .synthesize(single_block_cdfg(synth_dag(ops)))
+        .expect("synthesizes")
+        .fsm
 }
 
 /// The design-space grid the estimation tiers sweep: FU counts crossed
@@ -242,7 +263,7 @@ pub fn build_suite(sizes: &SuiteSizes) -> Vec<SuiteEntry> {
 
     // The hierarchical tier: graphs the flat scheduler cannot touch in
     // CI time. One entry per size; the pair carries the scaling check.
-    for &ops in &sizes.hforce {
+    for ops in sizes.hforce {
         let g = synth_dag(ops);
         let (_, cp) = SchedGraph::build(&g, &typed).expect("acyclic").asap();
         let cls = typed;
@@ -307,16 +328,27 @@ pub fn build_suite(sizes: &SuiteSizes) -> Vec<SuiteEntry> {
     // controller the default flow builds for a one-block DAG (256 and
     // 1017 states at the gate sizes, both within exact minimization).
     for &ops in &sizes.ctrl {
-        let fsm = Synthesizer::new()
-            .synthesize(single_block_cdfg(synth_dag(ops)))
-            .expect("synthesizes")
-            .fsm;
+        let fsm = default_flow_fsm(ops);
         entries.push(SuiteEntry::new(
             format!("ctrl/hardwired/synth-{ops}"),
             move || {
                 std::hint::black_box(
                     hardwired_logic(&fsm, EncodingStyle::Binary).expect("encodes"),
                 );
+                1
+            },
+        ));
+    }
+
+    // Microcode: one microprogram with its field encoding, on the same
+    // default-flow controllers at larger sizes; the pair carries the
+    // encoder's scaling check.
+    for ops in sizes.microcode {
+        let fsm = default_flow_fsm(ops);
+        entries.push(SuiteEntry::new(
+            format!("ctrl/microcode/synth-{ops}"),
+            move || {
+                std::hint::black_box(microcode(&fsm));
                 1
             },
         ));
@@ -416,42 +448,64 @@ pub fn run_suite(sizes: &SuiteSizes) -> GateReport {
     GateReport {
         threshold_pct: DEFAULT_THRESHOLD_PCT,
         calibration_nanos: calibration,
+        nproc: std::thread::available_parallelism()
+            .ok()
+            .map(std::num::NonZeroUsize::get),
         benchmarks,
         reference: BTreeMap::new(),
     }
 }
 
-/// The asymptotic claim as a gate condition: the largest hierarchical
-/// tier must cost at most [`MAX_HFORCE_SCALING_RATIO`]× the smallest.
-/// Returns the observed ratio, or a message naming what failed. Both
-/// entries regressing together (a constant-factor slowdown) is the
-/// per-benchmark threshold's job; this check only fails on *scaling*
-/// regressions — the quadratic re-scan class of bug that per-entry
-/// thresholds catch late or not at all after a rebaseline.
-pub fn check_hforce_scaling(report: &GateReport, sizes: &SuiteSizes) -> Result<f64, String> {
-    let (Some(&lo_ops), Some(&hi_ops)) = (sizes.hforce.first(), sizes.hforce.last()) else {
-        return Err("no hforce tier configured".to_string());
-    };
-    if lo_ops == hi_ops {
-        return Err("hforce tier needs two distinct sizes".to_string());
+/// The tiers whose asymptotic claims the gate enforces, as
+/// `(tier prefix, small ops, large ops, limit)` arguments for
+/// [`check_scaling`].
+pub fn scaling_checks(sizes: &SuiteSizes) -> [(&'static str, usize, usize, f64); 2] {
+    [
+        (
+            "sched/hforce",
+            sizes.hforce[0],
+            sizes.hforce[1],
+            MAX_HFORCE_SCALING_RATIO,
+        ),
+        (
+            "ctrl/microcode",
+            sizes.microcode[0],
+            sizes.microcode[1],
+            MAX_MICROCODE_SCALING_RATIO,
+        ),
+    ]
+}
+
+/// An asymptotic claim as a gate condition: `{tier}/synth-{large}` must
+/// cost at most `limit`× `{tier}/synth-{small}`. Returns the observed
+/// ratio, or a message naming what failed. Both entries regressing
+/// together (a constant-factor slowdown) is the per-benchmark
+/// threshold's job; this check only fails on *scaling* regressions — the
+/// quadratic re-scan class of bug that per-entry thresholds catch late or
+/// not at all after a rebaseline.
+pub fn check_scaling(
+    report: &GateReport,
+    tier: &str,
+    small: usize,
+    large: usize,
+    limit: f64,
+) -> Result<f64, String> {
+    if small >= large {
+        return Err(format!("{tier} tier needs a small and a larger size"));
     }
     let fetch = |ops: usize| {
-        let name = format!("sched/hforce/synth-{ops}");
-        report
-            .benchmarks
-            .get(&name)
-            .copied()
-            .ok_or(name)
-            .map(|ns| ns.max(1))
+        let name = format!("{tier}/synth-{ops}");
+        match report.benchmarks.get(&name) {
+            Some(&ns) => Ok(ns.max(1)),
+            None => Err(format!("missing benchmark {name}")),
+        }
     };
-    let lo = fetch(lo_ops).map_err(|n| format!("missing benchmark {n}"))?;
-    let hi = fetch(hi_ops).map_err(|n| format!("missing benchmark {n}"))?;
-    let ratio = hi as f64 / lo as f64;
-    if ratio > MAX_HFORCE_SCALING_RATIO {
+    let ratio = fetch(large)? as f64 / fetch(small)? as f64;
+    if ratio > limit {
         return Err(format!(
-            "hforce scaling regression: {hi_ops} ops cost {ratio:.1}x the {lo_ops}-op tier \
-             (limit {MAX_HFORCE_SCALING_RATIO}x; quadratic would be ~{:.0}x)",
-            ((hi_ops as f64) / (lo_ops as f64)).powi(2),
+            "{tier} scaling regression: {large} ops cost {ratio:.1}x the {small}-op tier \
+             (limit {limit}x; quadratic would be ~{:.0}x)",
+            ((large as f64) / (small as f64)).powi(2),
         ));
     }
     Ok(ratio)
@@ -491,6 +545,8 @@ mod tests {
             "explore/pruned-vs-exhaustive/synth-256",
             "ctrl/hardwired/synth-512",
             "ctrl/hardwired/synth-2048",
+            "ctrl/microcode/synth-2048",
+            "ctrl/microcode/synth-8192",
             "alloc/clique-exact/rand-64",
             "alloc/clique-tseng/rand-64",
             "alloc/lifetime/synth-2048",
@@ -499,32 +555,55 @@ mod tests {
         ] {
             assert!(names.contains(&expected.to_string()), "missing {expected}");
         }
-        assert_eq!(names.len(), 17, "suite drifted: {names:?}");
+        assert_eq!(names.len(), 19, "suite drifted: {names:?}");
     }
 
     #[test]
     fn scaling_check_passes_subquadratic_and_fails_quadratic() {
-        let sizes = gate_sizes();
         let mut report = GateReport {
             threshold_pct: DEFAULT_THRESHOLD_PCT,
             calibration_nanos: 1,
+            nproc: None,
             benchmarks: BTreeMap::new(),
             reference: BTreeMap::new(),
         };
-        assert!(check_hforce_scaling(&report, &sizes).is_err(), "missing");
+        let checks = scaling_checks(&gate_sizes());
+        assert_eq!(
+            checks.map(|(tier, small, large, _)| format!("{tier}/synth-{small}..{large}")),
+            [
+                "sched/hforce/synth-16384..65536",
+                "ctrl/microcode/synth-2048..8192"
+            ]
+        );
+        for (tier, small, large, limit) in checks {
+            let err = check_scaling(&report, tier, small, large, limit).unwrap_err();
+            assert!(err.contains("missing benchmark"), "{err}");
+            let (lo, hi) = (
+                format!("{tier}/synth-{small}"),
+                format!("{tier}/synth-{large}"),
+            );
+            report.benchmarks.insert(lo, 1_000_000);
+            report.benchmarks.insert(hi.clone(), 4_000_000);
+            let ratio = check_scaling(&report, tier, small, large, limit)
+                .unwrap_or_else(|e| panic!("{tier}: linear-ish passes: {e}"));
+            assert!((ratio - 4.0).abs() < 1e-9);
+            // A quadratic stage: 4x the ops, 16x the time.
+            report.benchmarks.insert(hi, 16_000_000);
+            let err = check_scaling(&report, tier, small, large, limit).unwrap_err();
+            assert!(err.contains(&format!("{tier} scaling regression")), "{err}");
+            assert!(check_scaling(&report, tier, large, large, limit).is_err());
+        }
+        // The microcode limit sits below the all-pairs encoder's ~15x.
         report
             .benchmarks
-            .insert("sched/hforce/synth-16384".into(), 1_000_000);
-        report
-            .benchmarks
-            .insert("sched/hforce/synth-65536".into(), 4_000_000);
-        let ratio = check_hforce_scaling(&report, &sizes).expect("linear-ish passes");
-        assert!((ratio - 4.0).abs() < 1e-9);
-        // A quadratic scheduler: 4x the ops, 16x the time.
-        report
-            .benchmarks
-            .insert("sched/hforce/synth-65536".into(), 16_000_000);
-        let err = check_hforce_scaling(&report, &sizes).unwrap_err();
-        assert!(err.contains("scaling regression"), "{err}");
+            .insert("ctrl/microcode/synth-8192".into(), 14_600_000);
+        assert!(check_scaling(
+            &report,
+            "ctrl/microcode",
+            2048,
+            8192,
+            MAX_MICROCODE_SCALING_RATIO
+        )
+        .is_err());
     }
 }

@@ -86,14 +86,6 @@ impl Fsm {
         self.states.is_empty()
     }
 
-    /// Every distinct control signal, sorted.
-    pub fn signal_set(&self) -> BTreeSet<String> {
-        self.states
-            .iter()
-            .flat_map(|s| s.signals.iter().cloned())
-            .collect()
-    }
-
     /// Checks that every transition target exists, every guard tests a
     /// flag in [`Fsm::flags`], and every state (except `done`) has at
     /// least one transition.
@@ -476,7 +468,7 @@ mod tests {
     #[test]
     fn signals_cover_fu_ops_and_reg_loads() {
         let fsm = sqrt_fsm();
-        let sigs = fsm.signal_set();
+        let sigs: BTreeSet<&String> = fsm.states.iter().flat_map(|s| &s.signals).collect();
         assert!(
             sigs.iter().any(|s| s.contains("=/")),
             "a divide signal: {sigs:?}"

@@ -5,12 +5,20 @@
 //! encoding techniques for the microcontrol word" (§2). We generate a
 //! microprogram from the FSM and report both the *horizontal* (one bit per
 //! signal) and *field-encoded* word formats, where mutually exclusive
-//! signals share an encoded field — found by coloring the
+//! signals share an encoded field — a greedy first-fit coloring of the
 //! asserted-together conflict graph.
+//!
+//! The conflict graph is never built: it has a clique per state, so a
+//! state asserting `k` signals would contribute `k²/2` edges. Signals are
+//! visited in name order, and each state keeps a bitset of the fields
+//! its signals already use. A field is closed to a signal exactly when a
+//! state asserting the signal uses it, so the first field missing from
+//! the union of those bitsets is the first field in which no earlier
+//! member conflicts — the field the all-pairs first-fit scan picks.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
-use crate::fsm::{Cond, Fsm};
+use crate::fsm::{Cond, Fsm, State};
 
 /// One microinstruction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,7 +95,6 @@ impl Microprogram {
 /// structured control tree never produces more than a two-way decision
 /// plus the fall-through).
 pub fn microcode(fsm: &Fsm) -> Microprogram {
-    let signals: Vec<String> = fsm.signal_set().into_iter().collect();
     let n = fsm.len().max(1);
     let addr_bits = (usize::BITS - (n - 1).leading_zeros()).max(1);
 
@@ -103,31 +110,7 @@ pub fn microcode(fsm: &Fsm) -> Microprogram {
             }
         })
         .collect();
-
-    // Conflict graph: signals asserted in the same state cannot share an
-    // encoded field. Greedy coloring by assertion frequency.
-    let mut conflicts: BTreeMap<&String, BTreeSet<&String>> = BTreeMap::new();
-    for s in &fsm.states {
-        let list: Vec<&String> = s.signals.iter().collect();
-        for (i, a) in list.iter().enumerate() {
-            for b in &list[i + 1..] {
-                conflicts.entry(a).or_default().insert(b);
-                conflicts.entry(b).or_default().insert(a);
-            }
-        }
-    }
-    let mut fields: Vec<Vec<String>> = Vec::new();
-    for sig in &signals {
-        let empty = BTreeSet::new();
-        let conf = conflicts.get(sig).unwrap_or(&empty);
-        match fields
-            .iter_mut()
-            .find(|f| f.iter().all(|other| !conf.contains(other)))
-        {
-            Some(f) => f.push(sig.clone()),
-            None => fields.push(vec![sig.clone()]),
-        }
-    }
+    let (signals, fields) = encode_fields(&fsm.states);
 
     Microprogram {
         rom,
@@ -137,7 +120,66 @@ pub fn microcode(fsm: &Fsm) -> Microprogram {
     }
 }
 
-fn branch_of(state: &crate::fsm::State) -> (Option<String>, usize, usize) {
+/// Every distinct signal in name order, and the fields first-fit packs
+/// them into: each signal joins the lowest field holding no signal it is
+/// asserted together with, or opens a new one.
+fn encode_fields(states: &[State]) -> (Vec<String>, Vec<Vec<String>>) {
+    // Intern each name once, keeping the states that assert it.
+    let mut ids: HashMap<&str, usize> = HashMap::new();
+    let mut names: Vec<&str> = Vec::new();
+    let mut asserted_in: Vec<Vec<usize>> = Vec::new();
+    for (state, s) in states.iter().enumerate() {
+        for name in s.signals.iter().map(String::as_str) {
+            let id = *ids.entry(name).or_insert_with(|| {
+                names.push(name);
+                asserted_in.push(Vec::new());
+                names.len() - 1
+            });
+            asserted_in[id].push(state);
+        }
+    }
+    let mut order: Vec<usize> = (0..names.len()).collect();
+    order.sort_unstable_by_key(|&id| names[id]);
+
+    // `used[state]` has bit `f` set when a signal the state asserts is in
+    // field `f`; `closed` is their union over one signal's states.
+    let mut used: Vec<Vec<u64>> = vec![Vec::new(); states.len()];
+    let mut closed: Vec<u64> = Vec::new();
+    let mut fields: Vec<Vec<String>> = Vec::new();
+    for &id in &order {
+        closed.clear();
+        closed.resize(fields.len().div_ceil(64), 0);
+        for &state in &asserted_in[id] {
+            for (c, w) in closed.iter_mut().zip(&used[state]) {
+                *c |= w;
+            }
+        }
+        // Only fields below `fields.len()` are ever set, so the first
+        // open bit is an existing field or the next new one.
+        let field = closed
+            .iter()
+            .position(|&w| w != u64::MAX)
+            .map_or(closed.len() * 64, |i| {
+                i * 64 + closed[i].trailing_ones() as usize
+            });
+        if field == fields.len() {
+            fields.push(Vec::new());
+        }
+        fields[field].push(names[id].to_string());
+        let (word, bit) = (field / 64, 1u64 << (field % 64));
+        for &state in &asserted_in[id] {
+            let words = &mut used[state];
+            if words.len() <= word {
+                words.resize(word + 1, 0);
+            }
+            words[word] |= bit;
+        }
+    }
+    let signals = order.iter().map(|&id| names[id].to_string()).collect();
+    (signals, fields)
+}
+
+fn branch_of(state: &State) -> (Option<String>, usize, usize) {
     let mut flag = None;
     let mut if_true = None;
     let mut if_false = None;
@@ -169,29 +211,222 @@ fn branch_of(state: &crate::fsm::State) -> (Option<String>, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
-    fn sqrt_microprogram() -> Microprogram {
-        let mut cdfg = hls_lang::compile(hls_workloads::sources::SQRT).unwrap();
+    use hls_cdfg::{Cdfg, Region};
+    use hls_fuzz::corpus::{Case, Mode};
+    use hls_sched::{Algorithm, OpClassifier, Priority, ResourceLimits};
+    use hls_testkit::SplitMix64;
+    use hls_workloads::random::{random_dag, RandomDagConfig};
+
+    use crate::fsm::Transition;
+
+    const LIST: Algorithm = Algorithm::List(Priority::PathLength);
+
+    /// `src` compiled and optimized, as the default flow prepares it.
+    fn optimized(src: &str) -> Cdfg {
+        let mut cdfg = hls_lang::compile(src).unwrap();
         hls_opt::optimize(&mut cdfg);
-        let cls = hls_sched::OpClassifier::universal_free_shifts();
-        let limits = hls_sched::ResourceLimits::universal(2);
-        let sched = hls_sched::schedule_cdfg(
-            &cdfg,
-            &cls,
-            &limits,
-            hls_sched::Algorithm::List(hls_sched::Priority::PathLength),
-        )
-        .unwrap();
+        cdfg
+    }
+
+    /// The controller the default flow builds for a prepared `cdfg`
+    /// (free constant shifts, GreedyAware binding) on `fus` universal FUs.
+    fn fsm_of(cdfg: &Cdfg, fus: usize, algorithm: Algorithm) -> Fsm {
+        let cls = OpClassifier::universal_free_shifts();
+        let limits = ResourceLimits::universal(fus);
+        let sched = hls_sched::schedule_cdfg(cdfg, &cls, &limits, algorithm).unwrap();
         let dp = hls_alloc::build_datapath(
-            &cdfg,
+            cdfg,
             &sched,
             &cls,
             &hls_rtl::Library::standard(),
             hls_alloc::FuStrategy::GreedyAware,
         )
         .unwrap();
-        let fsm = crate::build_fsm(&cdfg, &sched, &dp, &cls).unwrap();
-        microcode(&fsm)
+        crate::build_fsm(cdfg, &sched, &dp, &cls).unwrap()
+    }
+
+    fn sqrt_microprogram() -> Microprogram {
+        microcode(&fsm_of(&optimized(hls_workloads::sources::SQRT), 2, LIST))
+    }
+
+    /// The all-pairs encoder this module used to run, kept as the oracle
+    /// for the used-field bitsets: it builds the whole conflict graph,
+    /// then scans every member of every field for each signal in name
+    /// order.
+    fn reference_microcode(fsm: &Fsm) -> Microprogram {
+        let signals: Vec<String> = fsm
+            .states
+            .iter()
+            .flat_map(|s| s.signals.iter().cloned())
+            .collect::<BTreeSet<String>>()
+            .into_iter()
+            .collect();
+        let n = fsm.len().max(1);
+        let addr_bits = (usize::BITS - (n - 1).leading_zeros()).max(1);
+        let rom: Vec<MicroInstruction> = fsm
+            .states
+            .iter()
+            .map(|s| MicroInstruction {
+                name: s.name.clone(),
+                signals: s.signals.clone(),
+                branch: branch_of(s),
+            })
+            .collect();
+        let mut conflicts: BTreeMap<&String, BTreeSet<&String>> = BTreeMap::new();
+        for s in &fsm.states {
+            let list: Vec<&String> = s.signals.iter().collect();
+            for (i, a) in list.iter().enumerate() {
+                for b in &list[i + 1..] {
+                    conflicts.entry(a).or_default().insert(b);
+                    conflicts.entry(b).or_default().insert(a);
+                }
+            }
+        }
+        let mut fields: Vec<Vec<String>> = Vec::new();
+        for sig in &signals {
+            let empty = BTreeSet::new();
+            let conf = conflicts.get(sig).unwrap_or(&empty);
+            match fields
+                .iter_mut()
+                .find(|f| f.iter().all(|other| !conf.contains(other)))
+            {
+                Some(f) => f.push(sig.clone()),
+                None => fields.push(vec![sig.clone()]),
+            }
+        }
+        Microprogram {
+            rom,
+            signals,
+            fields,
+            addr_bits,
+        }
+    }
+
+    /// Every part of the microprogram equals the reference's.
+    fn assert_matches_reference(fsm: &Fsm, what: &str) {
+        let got = microcode(fsm);
+        let want = reference_microcode(fsm);
+        assert_eq!(got.signals, want.signals, "{what}: signals");
+        assert_eq!(got.fields, want.fields, "{what}: fields");
+        assert_eq!(got.rom, want.rom, "{what}: rom");
+        assert_eq!(got.addr_bits, want.addr_bits, "{what}: addr_bits");
+        assert_eq!(
+            got.horizontal_width(),
+            want.horizontal_width(),
+            "{what}: horizontal width"
+        );
+        assert_eq!(
+            got.encoded_width(),
+            want.encoded_width(),
+            "{what}: encoded width"
+        );
+    }
+
+    /// A hand-built FSM over a shared pool of up to 300 names, so signals
+    /// recur across states. Most states assert up to 20 signals; one in
+    /// twenty asserts up to 200, which takes the fields past the first
+    /// two 64-bit words. Names are random hex, so name order differs
+    /// from first-seen order.
+    fn random_fsm(rng: &mut SplitMix64) -> Fsm {
+        let pool: Vec<String> = (0..rng.usize_in(1, 301))
+            .map(|_| format!("s{:x}", rng.u64_in(0, 1 << 16)))
+            .collect();
+        let flags = ["f0", "f1", "f2"];
+        let n = rng.usize_in(1, 9);
+        let states = (0..n)
+            .map(|i| {
+                let widest = if rng.bool_with(0.05) { 200 } else { 20 };
+                let signals = (0..rng.usize_in(0, widest + 1))
+                    .map(|_| rng.choose(&pool).clone())
+                    .collect();
+                let to = |rng: &mut SplitMix64| rng.usize_in(0, n);
+                let flag = rng.choose(&flags).to_string();
+                let transitions = match rng.u32_in(0, 4) {
+                    0 => Vec::new(),
+                    1 => vec![Transition {
+                        cond: Cond::Always,
+                        to: to(rng),
+                    }],
+                    2 => vec![
+                        Transition {
+                            cond: Cond::IsTrue(flag),
+                            to: to(rng),
+                        },
+                        Transition {
+                            cond: Cond::Always,
+                            to: to(rng),
+                        },
+                    ],
+                    _ => vec![
+                        Transition {
+                            cond: Cond::IsFalse(flag.clone()),
+                            to: to(rng),
+                        },
+                        Transition {
+                            cond: Cond::IsTrue(flag),
+                            to: to(rng),
+                        },
+                    ],
+                };
+                State {
+                    name: format!("st{i}"),
+                    signals,
+                    transitions,
+                }
+            })
+            .collect();
+        Fsm {
+            states,
+            ..Fsm::default()
+        }
+    }
+
+    /// Differential battery: the used-field encoder returns the same
+    /// microprogram as the all-pairs reference on the table-ctrl designs,
+    /// generated programs under several flows, the 512-op gate DAG and
+    /// random hand-built FSMs.
+    #[test]
+    fn used_fields_match_all_pairs_reference() {
+        for (name, src, fus) in [
+            ("sqrt", hls_workloads::sources::SQRT, 2),
+            ("diffeq", hls_workloads::sources::DIFFEQ, 2),
+            ("gcd", hls_workloads::sources::GCD, 1),
+        ] {
+            assert_matches_reference(&fsm_of(&optimized(src), fus, LIST), name);
+        }
+        for seed in 0..32u64 {
+            let src = hls_fuzz::gen::generate_bsl(&Case::new(Mode::Bsl, seed, 32, 3, 6));
+            let cdfg = optimized(&src);
+            for fus in [1, 2, 4] {
+                for algorithm in [Algorithm::Asap, LIST] {
+                    let fsm = fsm_of(&cdfg, fus, algorithm);
+                    assert_matches_reference(&fsm, &format!("bsl{seed}/{fus}fu/{algorithm:?}"));
+                }
+            }
+        }
+        let mut synth = Cdfg::new("synth");
+        let body = synth.add_block(
+            "body",
+            random_dag(&RandomDagConfig {
+                ops: 512,
+                inputs: 16,
+                window: 24,
+                ..Default::default()
+            }),
+        );
+        synth.set_body(Region::Block(body));
+        hls_opt::optimize(&mut synth);
+        assert_matches_reference(&fsm_of(&synth, 2, LIST), "synth-512");
+        let mut rng = SplitMix64::new(0x00F1_E1D5);
+        let mut widest = 0;
+        for case in 0..200 {
+            let fsm = random_fsm(&mut rng);
+            assert_matches_reference(&fsm, &format!("random fsm {case}"));
+            widest = widest.max(microcode(&fsm).fields.len());
+        }
+        assert!(widest > 128, "no random FSM crossed two field words");
     }
 
     #[test]

@@ -83,6 +83,16 @@ impl CellSpec {
     }
 }
 
+/// The standard library's 2-way multiplexer.
+const MUX2: CellSpec = CellSpec {
+    name: "mux2",
+    class: CellClass::Mux,
+    area_base: 0.5,
+    area_per_bit: 2.5,
+    delay_base: 0.8,
+    delay_per_bit: 0.0,
+};
+
 /// A component library.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Library {
@@ -168,14 +178,7 @@ impl Library {
                     delay_base: 1.2,
                     delay_per_bit: 0.0,
                 },
-                CellSpec {
-                    name: "mux2",
-                    class: CellClass::Mux,
-                    area_base: 0.5,
-                    area_per_bit: 2.5,
-                    delay_base: 0.8,
-                    delay_per_bit: 0.0,
-                },
+                MUX2,
                 CellSpec {
                     name: "bus_driver",
                     class: CellClass::BusDriver,
@@ -243,11 +246,13 @@ impl Default for Library {
 }
 
 /// Area of an `n`-way, `width`-bit multiplexer built from 2-way muxes.
+/// Every library starts from [`Library::standard`], so the lookup finds
+/// its `mux2`; the fallback only spares the lookup a panic path.
 pub fn mux_area(library: &Library, fanin: usize, width: u8) -> f64 {
     if fanin <= 1 {
         return 0.0;
     }
-    let m2 = library.cell("mux2").expect("standard library has mux2");
+    let m2 = library.cell("mux2").unwrap_or(&MUX2);
     (fanin - 1) as f64 * m2.area(width)
 }
 

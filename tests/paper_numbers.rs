@@ -121,14 +121,18 @@ fn e7_clique_formulation() {
 }
 
 /// E13 (table-ctrl): flip-flops, product terms and literals of the
-/// minimized hardwired controller under each state encoding. Locks the
-/// EXPERIMENTS.md table, so a change to state encoding or two-level
-/// minimization that moves a literal count fails here.
+/// minimized hardwired controller under each state encoding, and the
+/// microprogram's word count and horizontal and field-encoded widths.
+/// Locks the EXPERIMENTS.md table, so a change to state encoding,
+/// two-level minimization or microcode field encoding that moves a
+/// literal count or a ROM size fails here.
 #[test]
 fn e13_controller_literals_per_encoding() {
     use hls::core::ControlStyle;
-    use hls::ctrl::compare_encodings;
-    // (program, FUs, [(encoding, FFs, terms, literals)])
+    use hls::ctrl::{compare_encodings, microcode};
+    // (program, FUs, [(encoding, FFs, terms, literals)], (words,
+    // horizontal bits/word, horizontal ROM bits, encoded bits/word,
+    // encoded ROM bits))
     let expected = [
         (
             SQRT,
@@ -138,6 +142,7 @@ fn e13_controller_literals_per_encoding() {
                 ("gray", 3, 37, 106),
                 ("one-hot", 5, 37, 211),
             ],
+            (5, 30, 150, 25, 125),
         ),
         (
             hls_workloads::sources::DIFFEQ,
@@ -147,6 +152,7 @@ fn e13_controller_literals_per_encoding() {
                 ("gray", 4, 73, 274),
                 ("one-hot", 12, 99, 1287),
             ],
+            (12, 57, 684, 33, 396),
         ),
         (
             hls_workloads::sources::GCD,
@@ -156,9 +162,10 @@ fn e13_controller_literals_per_encoding() {
                 ("gray", 3, 37, 155),
                 ("one-hot", 8, 42, 410),
             ],
+            (8, 24, 192, 20, 160),
         ),
     ];
-    for (src, fus, rows) in expected {
+    for (src, fus, rows, rom) in expected {
         let design = Synthesizer::new()
             .universal_fus(fus)
             .control(ControlStyle::Microcode)
@@ -175,6 +182,19 @@ fn e13_controller_literals_per_encoding() {
                 design.fsm.len()
             );
         }
+        let mp = microcode(&design.fsm);
+        assert_eq!(
+            (
+                mp.rom.len(),
+                mp.horizontal_width(),
+                mp.horizontal_rom_bits(),
+                mp.encoded_width(),
+                mp.encoded_rom_bits()
+            ),
+            rom,
+            "microcode of a {}-state controller",
+            design.fsm.len()
+        );
     }
 }
 
