@@ -88,9 +88,9 @@ fi
 # /v1/batch twice and requires every seq present in order and the two
 # warm NDJSON streams byte-identical.
 target/release/hls-loadgen "$front_addr" --batch-smoke
-# Short mixed legacy/v1 closed loop through the front: byte-identity
-# per template plus envelope/Deprecation handling on the live wire.
-target/release/hls-loadgen "$front_addr" 64 4 --mix mixed
+# Short /v1 closed loop through the front: per-template byte identity
+# (bodies compared without their cache_hit flag) on the live wire.
+target/release/hls-loadgen "$front_addr" 64 4
 exec 9>&-   # stdin EOF -> front drains itself and its workers
 wait "$front_pid"
 rm -f "$front_fifo" "$front_log"

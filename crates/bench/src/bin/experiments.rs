@@ -840,7 +840,7 @@ fn table_serve() {
                     s.set_read_timeout(Some(Duration::from_secs(30))).ok();
                     write!(
                         s,
-                        "POST /synthesize HTTP/1.1\r\nHost: b\r\nContent-Length: {}\r\n\
+                        "POST /v1/synthesize HTTP/1.1\r\nHost: b\r\nContent-Length: {}\r\n\
                          Connection: close\r\n\r\n{body}",
                         body.len()
                     )

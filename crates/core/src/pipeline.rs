@@ -298,25 +298,6 @@ impl Synthesizer {
         self.synthesize_cancellable(cdfg, &CancelToken::new())
     }
 
-    /// Synthesizes BSL source text under a cancellation token.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse, scheduling, allocation, and control errors, and
-    /// [`SynthesisError::Cancelled`] when `cancel` fires between stages.
-    ///
-    /// [`SynthesisError::Cancelled`]: crate::SynthesisError::Cancelled
-    pub fn synthesize_source_cancellable(
-        &self,
-        src: &str,
-        cancel: &CancelToken,
-    ) -> Result<SynthesisResult, SynthesisError> {
-        cancel.check("none")?;
-        let cdfg = hls_lang::compile(src)?;
-        cancel.check("compile")?;
-        self.synthesize_cancellable(cdfg, cancel)
-    }
-
     /// Synthesizes an already-compiled behavior, checking `cancel`
     /// between pipeline stages (optimize → schedule → allocate →
     /// control → netlist). A fired token aborts before the next stage
@@ -631,6 +612,10 @@ impl SynthesisResult {
 mod tests {
     use super::*;
 
+    fn sqrt_cdfg() -> Cdfg {
+        hls_lang::compile(hls_workloads::sources::SQRT).unwrap()
+    }
+
     #[test]
     fn default_flow_reproduces_the_10_step_sqrt() {
         let r = Synthesizer::new()
@@ -728,10 +713,10 @@ mod tests {
         let tok = CancelToken::new();
         tok.cancel();
         let err = Synthesizer::new()
-            .synthesize_source_cancellable(hls_workloads::sources::SQRT, &tok)
+            .synthesize_cancellable(sqrt_cdfg(), &tok)
             .unwrap_err();
         match err {
-            crate::SynthesisError::Cancelled { completed } => assert_eq!(completed, "none"),
+            crate::SynthesisError::Cancelled { completed } => assert_eq!(completed, "optimize"),
             other => panic!("expected Cancelled, got {other}"),
         }
     }
@@ -741,7 +726,7 @@ mod tests {
         let tok = CancelToken::with_timeout(Duration::ZERO);
         assert!(tok.is_cancelled());
         let err = Synthesizer::new()
-            .synthesize_source_cancellable(hls_workloads::sources::SQRT, &tok)
+            .synthesize_cancellable(sqrt_cdfg(), &tok)
             .unwrap_err();
         assert!(err.to_string().contains("cancelled"), "{err}");
     }
@@ -750,7 +735,7 @@ mod tests {
     fn unfired_token_changes_nothing() {
         let tok = CancelToken::with_timeout(Duration::from_secs(3600));
         let r = Synthesizer::new()
-            .synthesize_source_cancellable(hls_workloads::sources::SQRT, &tok)
+            .synthesize_cancellable(sqrt_cdfg(), &tok)
             .unwrap();
         assert_eq!(r.latency, 10);
     }

@@ -10,8 +10,8 @@
 use hls_cdfg::SystemCdfg;
 use hls_core::{
     cdfg_fingerprint, pareto_front, CancelToken, ControlReport, ControlStyle, DeadlockVerdict,
-    DesignPoint, Explorer, GridPoint, GridSpec, ProcessSynthesis, PruneStats, PrunedSweep,
-    SynthesisError, SynthesisResult, Synthesizer, SystemSynthesisResult,
+    DesignPoint, GridPoint, GridSpec, ProcessSynthesis, PruneStats, PrunedSweep, SynthesisError,
+    SynthesisResult, Synthesizer, SystemSynthesisResult,
 };
 use hls_ctrl::EncodingStyle;
 use hls_sched::{Algorithm, Priority};
@@ -631,36 +631,17 @@ fn deadlock_json(v: &DeadlockVerdict) -> Json {
 }
 
 /// Builds the deterministic response body for one system-synthesis
-/// result: per-process metrics in declaration order, the interconnect
-/// inventory, the static deadlock verdict, and (on request) the
-/// elaborated top-level Verilog.
+/// result: per-process metrics in declaration order (the same metric
+/// keys as single-process responses), the interconnect inventory, the
+/// static deadlock verdict, and (on request) the elaborated top-level
+/// Verilog.
 pub fn system_response(
     req: &SynthesizeRequest,
     behavior_fp: u64,
     result: &SystemSynthesisResult,
 ) -> Json {
-    system_response_with(req, behavior_fp, result, false)
-}
-
-/// v1 variant of [`system_response`]: per-process objects carry the
-/// same metric keys as single-process responses (`clock_ns` after
-/// `area`); everything else is byte-identical to v0.
-pub fn system_response_v1(
-    req: &SynthesizeRequest,
-    behavior_fp: u64,
-    result: &SystemSynthesisResult,
-) -> Json {
-    system_response_with(req, behavior_fp, result, true)
-}
-
-fn system_response_with(
-    req: &SynthesizeRequest,
-    behavior_fp: u64,
-    result: &SystemSynthesisResult,
-    v1: bool,
-) -> Json {
     let process_json = |p: &ProcessSynthesis| {
-        let mut members = vec![
+        Json::Obj(vec![
             ("name".into(), Json::Str(p.name.clone())),
             ("latency".into(), Json::Num(p.result.latency as f64)),
             ("fus".into(), Json::Num(p.result.datapath.fu_count() as f64)),
@@ -673,12 +654,9 @@ fn system_response_with(
                 Json::Num(p.result.datapath.mux_inputs as f64),
             ),
             ("area".into(), Json::Num(p.result.area.total())),
-        ];
-        if v1 {
-            members.push(("clock_ns".into(), Json::Num(p.result.area.clock_ns)));
-        }
-        members.push(("fsm_states".into(), Json::Num(p.result.fsm.len() as f64)));
-        Json::Obj(members)
+            ("clock_ns".into(), Json::Num(p.result.area.clock_ns)),
+            ("fsm_states".into(), Json::Num(p.result.fsm.len() as f64)),
+        ])
     };
     let names = |it: &[String]| Json::Arr(it.iter().map(|n| Json::Str(n.clone())).collect());
     let channels: Vec<String> = result
@@ -845,40 +823,21 @@ pub fn batch_error_record(seq: u64, code: &str, message: &str, stage: Option<&st
     ])
 }
 
-/// The terminal NDJSON summary line for a batch: counts plus the pareto
-/// front over all completed points (given in seq order so the rendering
-/// is deterministic regardless of completion order).
+/// The terminal NDJSON summary line for a batch of `total` points:
+/// counts plus the pareto front over the `completed` `(seq, point,
+/// cache_hit)` records, taken in seq order so the rendering does not
+/// depend on completion order. A pruned batch passes its pruned count,
+/// which adds a `"pruned"` member after `"cache_hits"`; every point that
+/// neither completed nor was pruned counts as an error.
 pub fn batch_summary(
     total: usize,
-    ok: usize,
-    errors: usize,
-    cache_hits: usize,
-    completed: &[DesignPoint],
-) -> Json {
-    batch_summary_with(total, ok, errors, cache_hits, None, completed)
-}
-
-/// [`batch_summary`] for a pruned batch: adds a `"pruned"` count after
-/// `"cache_hits"`. Non-pruned summaries keep their exact v1 shape.
-pub fn batch_summary_pruned(
-    total: usize,
-    ok: usize,
-    errors: usize,
-    cache_hits: usize,
-    pruned: usize,
-    completed: &[DesignPoint],
-) -> Json {
-    batch_summary_with(total, ok, errors, cache_hits, Some(pruned), completed)
-}
-
-fn batch_summary_with(
-    total: usize,
-    ok: usize,
-    errors: usize,
-    cache_hits: usize,
+    mut completed: Vec<(u64, DesignPoint, bool)>,
     pruned: Option<usize>,
-    completed: &[DesignPoint],
 ) -> Json {
+    completed.sort_by_key(|(seq, _, _)| *seq);
+    let ok = completed.len();
+    let cache_hits = completed.iter().filter(|(_, _, hit)| *hit).count();
+    let errors = total.saturating_sub(ok + pruned.unwrap_or(0));
     let mut members = vec![
         ("points".into(), Json::Num(total as f64)),
         ("ok".into(), Json::Num(ok as f64)),
@@ -888,14 +847,15 @@ fn batch_summary_with(
     if let Some(pruned) = pruned {
         members.push(("pruned".into(), Json::Num(pruned as f64)));
     }
+    let points: Vec<DesignPoint> = completed.into_iter().map(|(_, dp, _)| dp).collect();
     members.push((
         "pareto".into(),
-        Json::Arr(pareto_front(completed).iter().map(point_json).collect()),
+        Json::Arr(pareto_front(&points).iter().map(point_json).collect()),
     ));
     Json::Obj(vec![("summary".into(), Json::Obj(members))])
 }
 
-/// Builds the v1 error envelope
+/// Builds the error envelope
 /// `{"error":{"code","message","stage"?,"retry_after_ms"?}}`.
 pub fn error_envelope(
     code: &str,
@@ -919,7 +879,7 @@ pub fn error_envelope(
 /// Splices `"cache_hit":b` in as the first member of a rendered JSON
 /// object body. The cached rendering deliberately excludes the flag —
 /// it is the one field that depends on cache state rather than the
-/// request — so v1 handlers add it at serve time without re-rendering.
+/// request — so handlers add it at serve time without re-rendering.
 pub fn with_cache_hit(body: &[u8], hit: bool) -> Vec<u8> {
     debug_assert!(body.first() == Some(&b'{'), "body must be a JSON object");
     let flag = if hit {
@@ -950,43 +910,6 @@ pub fn run_synthesize(
     let behavior_fp = cdfg_fingerprint(&cdfg);
     let result = req.synthesizer.synthesize_cancellable(cdfg, cancel)?;
     Ok((behavior_fp, result))
-}
-
-/// Runs a parsed `/explore` request on the shared explorer.
-///
-/// # Errors
-///
-/// Propagates synthesis errors (including cancellation) for the caller
-/// to map onto HTTP statuses.
-pub fn run_explore(
-    req: &ExploreRequest,
-    explorer: &Explorer,
-    cancel: &CancelToken,
-) -> Result<(u64, Vec<DesignPoint>), SynthesisError> {
-    let cdfg = hls_lang::compile(&req.source)?;
-    let behavior_fp = cdfg_fingerprint(&cdfg);
-    let points =
-        explorer.sweep_grid_cdfg_cancellable(&req.synthesizer, &cdfg, &req.spec, cancel)?;
-    Ok((behavior_fp, points))
-}
-
-/// Runs a parsed `/explore` request with the estimator's dominance
-/// pre-pass on the shared explorer.
-///
-/// # Errors
-///
-/// Propagates synthesis errors (including cancellation) for the caller
-/// to map onto HTTP statuses.
-pub fn run_explore_pruned(
-    req: &ExploreRequest,
-    explorer: &Explorer,
-    cancel: &CancelToken,
-) -> Result<(u64, PrunedSweep), SynthesisError> {
-    let cdfg = hls_lang::compile(&req.source)?;
-    let behavior_fp = cdfg_fingerprint(&cdfg);
-    let sweep =
-        explorer.sweep_grid_cdfg_pruned_cancellable(&req.synthesizer, &cdfg, &req.spec, cancel)?;
-    Ok((behavior_fp, sweep))
 }
 
 #[cfg(test)]
@@ -1105,13 +1028,24 @@ mod tests {
             batch_pruned_record(9, &p).render(),
             r#"{"seq":9,"pruned":true,"point":{"fus":3,"algorithm":"asap","control":"microcode"}}"#
         );
-        let s = batch_summary_pruned(4, 2, 0, 1, 2, &[]).render();
+        let d = DesignPoint {
+            fus: 3,
+            algorithm: Algorithm::Asap,
+            control: ControlStyle::Microcode,
+            latency: 10,
+            area: 100.0,
+            registers: 4,
+            mux_inputs: 6,
+        };
+        let s = batch_summary(4, vec![(1, d.clone(), true), (0, d, false)], Some(2)).render();
         assert!(
             s.starts_with(r#"{"summary":{"points":4,"ok":2,"errors":0,"cache_hits":1,"pruned":2,"#),
             "{s}"
         );
-        // The non-pruned summary keeps its exact v1 shape.
-        assert!(!batch_summary(4, 4, 0, 1, &[]).render().contains("pruned"));
+        // The non-pruned summary keeps its exact shape.
+        assert!(!batch_summary(4, Vec::new(), None)
+            .render()
+            .contains("pruned"));
     }
 
     #[test]
@@ -1186,7 +1120,7 @@ mod tests {
                 r#""result":{"latency":10,"area":100.5,"registers":7,"mux_inputs":12}}"#
             )
         );
-        let s = batch_summary(1, 1, 0, 1, &[d]).render();
+        let s = batch_summary(1, vec![(3, d, true)], None).render();
         assert!(s.starts_with(r#"{"summary":{"points":1,"ok":1,"errors":0,"cache_hits":1,"#));
         assert!(s.contains(r#""pareto":[{"fus":2"#), "{s}");
     }

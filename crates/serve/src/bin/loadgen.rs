@@ -2,114 +2,86 @@
 //! `hls-serve`.
 //!
 //! ```text
-//! hls-loadgen ADDR [REQUESTS] [CLIENTS] [--mix v1|legacy|mixed] [--batch-smoke]
+//! hls-loadgen ADDR [REQUESTS] [CLIENTS] [--batch-smoke]
 //! ```
 //!
 //! `CLIENTS` workers each run a closed loop: take the next request index
 //! from a shared counter, fire it, wait for the full response, repeat.
 //! Requests rotate deterministically through a fixed template mix
-//! (synthesize on three workloads × several configurations, plus
-//! exploration grids), so every template repeats many times across the
+//! (`/v1/synthesize` on three workloads × several configurations, plus
+//! `/v1/explore` grids), so every template repeats many times across the
 //! run — and because the service contract says responses are pure
 //! functions of requests, the tool fingerprints every response body per
-//! template and fails loudly when two repeats ever disagree (whether
-//! they were served from cache or freshly synthesized).
-//!
-//! `--mix` selects the traffic shape: `v1` hits only `/v1/*` paths,
-//! `legacy` only the deprecated unversioned ones, and `mixed` (the
-//! default) alternates — which doubles the template count, since v1 and
-//! legacy bodies differ byte-wise (`cache_hit` field) and must be
-//! fingerprinted separately.
+//! template (minus its `cache_hit` flag) and fails loudly when two
+//! repeats ever disagree (whether they were served from cache or
+//! freshly synthesized).
 //!
 //! A `503` answer is back-off-and-retry, honoring `Retry-After-Ms`
-//! when present (exact milliseconds), the v1 envelope's
-//! `retry_after_ms`, or falling back to `Retry-After` seconds. Sheds
-//! are reported separately from hard errors. Exit status is nonzero
-//! when any hard error or byte mismatch occurred.
+//! when present (exact milliseconds), the envelope's `retry_after_ms`,
+//! or falling back to `Retry-After` seconds. Sheds are reported
+//! separately from hard errors. Exit status is nonzero when any hard
+//! error or byte mismatch occurred.
 //!
 //! `--batch-smoke` runs a different check instead of the closed loop:
 //! it POSTs one `/v1/batch` sweep twice, verifies the NDJSON stream is
 //! well-formed (every seq present exactly once, ascending, summary
 //! last) and that the two response bodies are byte-identical.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use hls_serve::http::{read_response, ClientResponse};
+
 /// One request template: an endpoint path and a fixed JSON body.
 struct Template {
-    path: String,
+    path: &'static str,
     body: String,
     label: String,
 }
 
-/// Which API surface the templates target.
-#[derive(Clone, Copy, PartialEq)]
-enum Mix {
-    V1,
-    Legacy,
-    Mixed,
-}
-
-fn templates(mix: Mix) -> Vec<Template> {
-    let prefixes: &[&str] = match mix {
-        Mix::V1 => &["/v1"],
-        Mix::Legacy => &[""],
-        Mix::Mixed => &["/v1", ""],
-    };
+fn templates() -> Vec<Template> {
     let sqrt = hls_workloads::sources::SQRT;
     let diffeq = hls_workloads::sources::DIFFEQ;
     let gcd = hls_workloads::sources::GCD;
     let mut out = Vec::new();
-    for prefix in prefixes {
-        let tag = if prefix.is_empty() { "legacy" } else { "v1" };
-        for (name, source, fus, algorithm) in [
-            ("sqrt/1fu", sqrt, 1, "list/path"),
-            ("sqrt/2fu", sqrt, 2, "list/path"),
-            ("sqrt/asap", sqrt, 2, "asap"),
-            ("diffeq/2fu", diffeq, 2, "list/path"),
-            ("diffeq/3fu", diffeq, 3, "list/urgency"),
-            ("gcd/2fu", gcd, 2, "list/path"),
-        ] {
-            out.push(Template {
-                path: format!("{prefix}/synthesize"),
-                body: format!(
-                    r#"{{"source":{source:?},"config":{{"fus":{fus},"algorithm":{algorithm:?}}}}}"#
-                ),
-                label: format!("synthesize:{name}:{tag}"),
-            });
-        }
-        for (name, source, max_fus) in [("sqrt", sqrt, 3), ("diffeq", diffeq, 2)] {
-            let fus: Vec<String> = (1..=max_fus).map(|n| n.to_string()).collect();
-            out.push(Template {
-                path: format!("{prefix}/explore"),
-                body: format!(
-                    r#"{{"source":{source:?},"grid":{{"fus":[{}],"algorithms":["asap","list/path"]}}}}"#,
-                    fus.join(",")
-                ),
-                label: format!("explore:{name}:{tag}"),
-            });
-        }
+    for (name, source, fus, algorithm) in [
+        ("sqrt/1fu", sqrt, 1, "list/path"),
+        ("sqrt/2fu", sqrt, 2, "list/path"),
+        ("sqrt/asap", sqrt, 2, "asap"),
+        ("diffeq/2fu", diffeq, 2, "list/path"),
+        ("diffeq/3fu", diffeq, 3, "list/urgency"),
+        ("gcd/2fu", gcd, 2, "list/path"),
+    ] {
+        out.push(Template {
+            path: "/v1/synthesize",
+            body: format!(
+                r#"{{"source":{source:?},"config":{{"fus":{fus},"algorithm":{algorithm:?}}}}}"#
+            ),
+            label: format!("synthesize:{name}"),
+        });
+    }
+    for (name, source, max_fus) in [("sqrt", sqrt, 3), ("diffeq", diffeq, 2)] {
+        let fus: Vec<String> = (1..=max_fus).map(|n| n.to_string()).collect();
+        out.push(Template {
+            path: "/v1/explore",
+            body: format!(
+                r#"{{"source":{source:?},"grid":{{"fus":[{}],"algorithms":["asap","list/path"]}}}}"#,
+                fus.join(",")
+            ),
+            label: format!("explore:{name}"),
+        });
     }
     out
 }
 
-/// A parsed response: status, cache header, backoff hints, body.
-struct Reply {
-    status: u16,
-    cache: Option<String>,
-    retry_after_secs: Option<u64>,
-    retry_after_ms: Option<u64>,
-    body: Vec<u8>,
-}
-
 /// The backoff to sleep after a 503, in milliseconds. Prefers the exact
-/// `Retry-After-Ms` header (or the v1 envelope's `retry_after_ms`,
-/// passed in by the caller), falls back to `Retry-After` seconds, and
-/// scales down so a loadgen run doesn't stall: the server's hint is for
-/// polite clients, a load generator only needs to desynchronize.
+/// `Retry-After-Ms` header (or the envelope's `retry_after_ms`, passed
+/// in by the caller), falls back to `Retry-After` seconds, and scales
+/// down so a loadgen run doesn't stall: the server's hint is for polite
+/// clients, a load generator only needs to desynchronize.
 fn backoff_ms(retry_after_ms: Option<u64>, retry_after_secs: Option<u64>) -> u64 {
     let hinted = retry_after_ms
         .or(retry_after_secs.map(|s| s * 1000))
@@ -119,7 +91,7 @@ fn backoff_ms(retry_after_ms: Option<u64>, retry_after_secs: Option<u64>) -> u64
     (hinted / 20).clamp(10, 2000)
 }
 
-/// Pulls `retry_after_ms` out of a v1 error envelope body, if present.
+/// Pulls `retry_after_ms` out of an error envelope body, if present.
 fn envelope_retry_after_ms(body: &[u8]) -> Option<u64> {
     let text = std::str::from_utf8(body).ok()?;
     let key = "\"retry_after_ms\":";
@@ -131,8 +103,17 @@ fn envelope_retry_after_ms(body: &[u8]) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// The backoff hint of a 503 reply, in milliseconds.
+fn reply_backoff_ms(r: &ClientResponse) -> u64 {
+    let header = |name: &str| r.header(name).and_then(|v| v.parse().ok());
+    backoff_ms(
+        header("retry-after-ms").or(envelope_retry_after_ms(&r.body)),
+        header("retry-after"),
+    )
+}
+
 /// Fires one request and reads the whole close-delimited response.
-fn fire(addr: &str, path: &str, body: &str) -> Result<Reply, String> {
+fn fire(addr: &str, path: &str, body: &str) -> Result<ClientResponse, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
@@ -144,75 +125,7 @@ fn fire(addr: &str, path: &str, body: &str) -> Result<Reply, String> {
     stream
         .write_all(request.as_bytes())
         .map_err(|e| format!("write: {e}"))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| format!("read: {e}"))?;
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or("no header terminator")?;
-    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| "non-utf8 head")?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or("empty head")?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or("bad status line")?;
-    let mut cache = None;
-    let mut retry_after_secs = None;
-    let mut retry_after_ms = None;
-    let mut chunked = false;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            match name.trim().to_ascii_lowercase().as_str() {
-                "x-hls-cache" => cache = Some(value.trim().to_string()),
-                "retry-after" => retry_after_secs = value.trim().parse().ok(),
-                "retry-after-ms" => retry_after_ms = value.trim().parse().ok(),
-                "transfer-encoding" => {
-                    chunked = value.trim().eq_ignore_ascii_case("chunked");
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut body = raw[head_end + 4..].to_vec();
-    if chunked {
-        body = decode_chunked(&body)?;
-    }
-    Ok(Reply {
-        status,
-        cache,
-        retry_after_secs,
-        retry_after_ms,
-        body,
-    })
-}
-
-/// Decodes a complete chunked transfer-coding body.
-fn decode_chunked(raw: &[u8]) -> Result<Vec<u8>, String> {
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    loop {
-        let line_end = raw[at..]
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or("chunk size line unterminated")?;
-        let size_text = std::str::from_utf8(&raw[at..at + line_end])
-            .map_err(|_| "non-utf8 chunk size")?
-            .trim();
-        let size = usize::from_str_radix(size_text, 16).map_err(|_| "bad chunk size")?;
-        at += line_end + 2;
-        if size == 0 {
-            return Ok(out);
-        }
-        if at + size + 2 > raw.len() {
-            return Err("truncated chunk".into());
-        }
-        out.extend_from_slice(&raw[at..at + size]);
-        at += size + 2;
-    }
+    read_response(&mut stream).map_err(|e| format!("read: {e}"))
 }
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -320,30 +233,17 @@ fn batch_smoke(addr: &str) -> i32 {
     0
 }
 
+const USAGE: &str = "usage: hls-loadgen ADDR [REQUESTS] [CLIENTS] [--batch-smoke]";
+
 fn main() {
     let mut addr = None;
     let mut positional: Vec<String> = Vec::new();
-    let mut mix = Mix::Mixed;
     let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "-h" | "--help" => {
-                eprintln!(
-                    "usage: hls-loadgen ADDR [REQUESTS] [CLIENTS] [--mix v1|legacy|mixed] [--batch-smoke]"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(2);
-            }
-            "--mix" => {
-                mix = match args.next().as_deref() {
-                    Some("v1") => Mix::V1,
-                    Some("legacy") => Mix::Legacy,
-                    Some("mixed") => Mix::Mixed,
-                    other => {
-                        eprintln!("bad --mix {other:?} (want v1|legacy|mixed)");
-                        std::process::exit(2);
-                    }
-                };
             }
             "--batch-smoke" => smoke = true,
             other if addr.is_none() => addr = Some(other.to_string()),
@@ -351,9 +251,7 @@ fn main() {
         }
     }
     let Some(addr) = addr else {
-        eprintln!(
-            "usage: hls-loadgen ADDR [REQUESTS] [CLIENTS] [--mix v1|legacy|mixed] [--batch-smoke]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     if smoke {
@@ -365,7 +263,7 @@ fn main() {
         .unwrap_or(1000);
     let clients: usize = positional.get(1).and_then(|v| v.parse().ok()).unwrap_or(8);
 
-    let templates = Arc::new(templates(mix));
+    let templates = Arc::new(templates());
     let stats = Arc::new(Stats {
         digests: Mutex::new(vec![None; templates.len()]),
         ..Stats::default()
@@ -392,15 +290,11 @@ fn main() {
                 let req_started = Instant::now();
                 let mut attempts = 0;
                 let reply = loop {
-                    match fire(&addr, &t.path, &t.body) {
+                    match fire(&addr, t.path, &t.body) {
                         Ok(r) if r.status == 503 && attempts < 10 => {
                             attempts += 1;
                             stats.sheds.fetch_add(1, Ordering::Relaxed);
-                            let ms = backoff_ms(
-                                r.retry_after_ms.or(envelope_retry_after_ms(&r.body)),
-                                r.retry_after_secs,
-                            );
-                            std::thread::sleep(Duration::from_millis(ms));
+                            std::thread::sleep(Duration::from_millis(reply_backoff_ms(&r)));
                         }
                         other => break other,
                     }
@@ -408,22 +302,8 @@ fn main() {
                 match reply {
                     Ok(r) if r.status == 200 => {
                         stats.ok.fetch_add(1, Ordering::Relaxed);
-                        let hit = r.cache.as_deref() == Some("hit");
-                        if hit {
+                        if r.body.starts_with(b"{\"cache_hit\":true") {
                             stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // v1 bodies carry the hit flag inline too; a
-                        // disagreement with the header is a bug.
-                        if t.path.starts_with("/v1/") {
-                            let text = String::from_utf8_lossy(&r.body);
-                            let flagged = text.contains("\"cache_hit\":true");
-                            if flagged != hit {
-                                stats.mismatches.fetch_add(1, Ordering::Relaxed);
-                                eprintln!(
-                                    "CACHE FLAG MISMATCH on {}: header {hit}, body {flagged}",
-                                    t.label
-                                );
-                            }
                         }
                         // The cache_hit field flips between first hit and
                         // later repeats; mask it out of the digest so the
@@ -522,22 +402,5 @@ mod tests {
         let body = br#"{"error":{"code":"overloaded","message":"x","retry_after_ms":1500}}"#;
         assert_eq!(envelope_retry_after_ms(body), Some(1500));
         assert_eq!(envelope_retry_after_ms(b"{}"), None);
-    }
-
-    #[test]
-    fn chunked_decoder_reassembles_bodies() {
-        let raw = b"4\r\nwiki\r\n5\r\npedia\r\n0\r\n\r\n";
-        assert_eq!(decode_chunked(raw).unwrap(), b"wikipedia");
-        assert!(decode_chunked(b"zz\r\n").is_err());
-    }
-
-    #[test]
-    fn traffic_mixes_shape_the_template_set() {
-        let v1 = templates(Mix::V1);
-        let legacy = templates(Mix::Legacy);
-        let mixed = templates(Mix::Mixed);
-        assert!(v1.iter().all(|t| t.path.starts_with("/v1/")));
-        assert!(legacy.iter().all(|t| !t.path.starts_with("/v1/")));
-        assert_eq!(mixed.len(), v1.len() + legacy.len());
     }
 }

@@ -117,8 +117,7 @@ fn run_front(args: Args, config: ServerConfig) -> std::io::Result<()> {
         worker_addrs.join(", "),
     );
     let handle = front.handle();
-    let sig_handle = handle.clone();
-    if signal::drain_on_termination_with(move || sig_handle.shutdown()) {
+    if signal::drain_on_termination(handle.clone()) {
         eprintln!("hls-serve front: SIGTERM/SIGINT will drain and exit");
     }
     shutdown_on_stdin_eof(move || handle.shutdown());

@@ -13,11 +13,10 @@
 //! | `GET /v1/healthz`      | liveness probe                                   |
 //! | `GET /v1/metrics`      | Prometheus text metrics                          |
 //!
-//! The unversioned legacy paths (`/synthesize`, …) still answer with
-//! their original response shapes, marked with a `Deprecation: true`
-//! header. v1 uses snake_case throughout, a single error envelope
-//! `{"error":{"code","message","stage"?}}`, and a `cache_hit` body
-//! field (see `DESIGN.md` §10 for the v0→v1 field map).
+//! Any other path answers 404. The API uses snake_case throughout, a
+//! single error envelope `{"error":{"code","message","stage"?}}` on
+//! every error, and a `cache_hit` body field that says whether a 200
+//! came from the response cache (see `DESIGN.md` §10).
 //!
 //! For scale-out, the [`shard`] module adds a front process
 //! (`hls-serve --front --workers N`) that consistent-hashes requests
@@ -25,11 +24,12 @@
 //! fingerprints the workers key their caches on, so cache affinity
 //! falls out of the routing.
 //!
-//! The serving model is deliberately boring: a bounded admission count
-//! in front of a work-stealing pool (reused from [`hls_core::par`]),
-//! load shedding with `503` + `Retry-After` once the bound is hit,
-//! per-request deadlines enforced by [`hls_core::CancelToken`] between
-//! pipeline stages, and a graceful drain on shutdown. Responses are
+//! The serving model is deliberately boring, and the worker and the
+//! front share all of it: a bounded admission count in front of a
+//! work-stealing pool (reused from [`hls_core::par`]), load shedding
+//! with `503` + `Retry-After` once the bound is hit, per-request
+//! deadlines enforced by [`hls_core::CancelToken`] between pipeline
+//! stages, and a graceful drain on shutdown. Responses are
 //! deterministic functions of requests, so a content-addressed cache
 //! (keyed on behavior × configuration fingerprints) serves byte-exact
 //! repeats.
@@ -54,9 +54,11 @@ pub mod api;
 pub mod cache;
 pub mod http;
 pub mod json;
+mod listener;
 pub mod metrics;
 mod server;
 pub mod shard;
 pub mod signal;
 
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use listener::ServerHandle;
+pub use server::{Server, ServerConfig};

@@ -61,8 +61,6 @@ pub struct Metrics {
     synthesize_latency: Histogram,
     explore_latency: Histogram,
     batch_latency: Histogram,
-    /// Requests arriving on legacy unversioned routes, by endpoint.
-    deprecated: Mutex<BTreeMap<String, u64>>,
     /// Requests routed to each shard worker (front process only).
     shard_requests: Mutex<BTreeMap<String, u64>>,
     /// Batch grid points streamed, by outcome (`hit`/`miss`/`error`).
@@ -114,16 +112,6 @@ impl Metrics {
             "batch" => self.batch_latency.observe(elapsed),
             _ => {}
         }
-    }
-
-    /// Records a request that arrived on a legacy unversioned route.
-    pub fn deprecated_request(&self, endpoint: &str) {
-        *self
-            .deprecated
-            .lock()
-            .expect("metrics lock")
-            .entry(endpoint.to_string())
-            .or_insert(0) += 1;
     }
 
     /// Records a request the front routed to `worker` (shard index or
@@ -337,19 +325,6 @@ impl Metrics {
             );
         }
         {
-            let deprecated = self.deprecated.lock().expect("metrics lock");
-            out.push_str(
-                "# HELP hls_serve_deprecated_requests_total Requests on legacy unversioned routes.\n\
-                 # TYPE hls_serve_deprecated_requests_total counter\n",
-            );
-            for (endpoint, count) in deprecated.iter() {
-                let _ = writeln!(
-                    out,
-                    "hls_serve_deprecated_requests_total{{endpoint=\"{endpoint}\"}} {count}"
-                );
-            }
-        }
-        {
             let shard = self.shard_requests.lock().expect("metrics lock");
             if !shard.is_empty() {
                 out.push_str(
@@ -490,11 +465,8 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_shard_and_batch_counters_render() {
+    fn shard_and_batch_counters_render() {
         let m = Metrics::new();
-        m.deprecated_request("synthesize");
-        m.deprecated_request("synthesize");
-        m.deprecated_request("metrics");
         m.shard_request("0");
         m.shard_request("1");
         m.shard_request("1");
@@ -507,8 +479,6 @@ mod tests {
         m.points_pruned(2);
         m.observe_request("batch", 200, Duration::from_millis(3));
         let text = m.render();
-        assert!(text.contains(r#"hls_serve_deprecated_requests_total{endpoint="synthesize"} 2"#));
-        assert!(text.contains(r#"hls_serve_deprecated_requests_total{endpoint="metrics"} 1"#));
         assert!(text.contains(r#"hls_serve_shard_requests_total{worker="0"} 1"#));
         assert!(text.contains(r#"hls_serve_shard_requests_total{worker="1"} 2"#));
         assert!(text.contains(r#"hls_serve_batch_points_total{outcome="hit"} 1"#));

@@ -1,14 +1,6 @@
-//! The HTTP server: admission control, routing, and graceful drain.
-//!
-//! ## Queueing model
-//!
-//! One acceptor thread owns the listener. Each accepted connection is
-//! admitted against a single bound — `queue` — counting every request
-//! that has been accepted but not yet finished (queued *and* executing).
-//! Admitted connections are handed to a work-stealing pool reused from
-//! [`hls_core::par`]; over the bound, the acceptor sheds the connection
-//! with `503 Service Unavailable` + `Retry-After` from a short-lived
-//! helper thread so the accept loop itself never blocks on a slow peer.
+//! The synthesis worker: the `/v1` endpoints over the whole flow,
+//! behind the shared listener core (see `listener.rs` for admission,
+//! routing, shedding and drain).
 //!
 //! ## Deadlines
 //!
@@ -16,35 +8,24 @@
 //! (or the request's own `deadline_ms`, whichever is sooner). The token
 //! is checked between pipeline stages; an expired request answers
 //! `504 Gateway Timeout` naming the last completed stage.
-//!
-//! ## Shutdown
-//!
-//! [`ServerHandle::shutdown`] flips the shutdown flag and pokes the
-//! listener with a loopback connection so the blocking `accept` wakes
-//! immediately. The acceptor stops admitting, waits until the in-flight
-//! count drains to zero, joins the pool, and returns. The `hls-serve`
-//! binary wires this handle to a SIGTERM/SIGINT self-pipe (see
-//! [`crate::signal`]), so a terminating service finishes every admitted
-//! request before exiting.
 
-use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use hls_core::par::{default_threads, ThreadPool};
+use hls_core::par::default_threads;
 use hls_core::{
     cdfg_fingerprint, CancelToken, DesignPoint, Explorer, GridPoint, StreamedPoint, SynthesisError,
 };
 
 use crate::api;
 use crate::cache::{response_key, ResponseCache};
-use crate::http::{
-    finish_chunked, read_request, start_chunked, write_chunk, ReadError, Request, Response,
+use crate::http::{start_chunked, Request, Response};
+use crate::json::Json;
+use crate::listener::{
+    error_response, parse_body, write_error, Listener, NdjsonEmitter, ServerHandle, Service,
 };
-use crate::json::{self, Json};
 use crate::metrics::{BatchOutcome, Metrics};
 
 /// Server configuration; every knob has an environment variable.
@@ -126,16 +107,9 @@ impl ServerConfig {
                 .unwrap_or(defaults.allow_test_delay),
         }
     }
-
-    /// The whole-second `Retry-After` value for [`Self::retry_after_ms`]
-    /// (rounded up, never zero — the header cannot express sub-second
-    /// backoff).
-    pub fn retry_after_secs(&self) -> u64 {
-        self.retry_after_ms.div_ceil(1000).max(1)
-    }
 }
 
-/// Shared server state, visible to the acceptor and every worker.
+/// Worker state, shared by every connection.
 struct Ctx {
     config: ServerConfig,
     metrics: Arc<Metrics>,
@@ -143,66 +117,12 @@ struct Ctx {
     /// The shared exploration engine; its memo cache persists across
     /// requests, so repeated or overlapping grids are answered from it.
     explorer: Explorer,
-    /// Accepted-but-unfinished requests (queued + executing).
-    inflight: AtomicUsize,
-    shutdown: AtomicBool,
-    /// Parking spot for the drain wait.
-    idle: Mutex<()>,
-    idle_cv: Condvar,
 }
 
-impl Ctx {
-    fn request_done(&self) {
-        let before = self.inflight.fetch_sub(1, Ordering::SeqCst);
-        self.metrics.queue_left(before.saturating_sub(1));
-        if before == 1 {
-            let _guard = self.idle.lock().expect("idle lock");
-            self.idle_cv.notify_all();
-        }
-    }
-
-    fn wait_idle(&self) {
-        let mut guard = self.idle.lock().expect("idle lock");
-        while self.inflight.load(Ordering::SeqCst) > 0 {
-            guard = self.idle_cv.wait(guard).expect("idle wait");
-        }
-    }
-}
-
-/// A running server bound to its listener.
+/// A synthesis worker bound to its listener.
 pub struct Server {
-    listener: TcpListener,
-    addr: SocketAddr,
+    listener: Listener,
     ctx: Arc<Ctx>,
-    pool: ThreadPool,
-}
-
-/// A cloneable handle for shutting the server down and reading metrics.
-#[derive(Clone)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    ctx: Arc<Ctx>,
-}
-
-impl ServerHandle {
-    /// The address the server is listening on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The server's metrics registry.
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.ctx.metrics)
-    }
-
-    /// Requests a graceful shutdown: stop accepting, drain in-flight
-    /// requests, then return from [`Server::run`]. Idempotent.
-    pub fn shutdown(&self) {
-        if !self.ctx.shutdown.swap(true, Ordering::SeqCst) {
-            // Poke the blocking accept() so it observes the flag now.
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
 }
 
 impl Server {
@@ -212,39 +132,31 @@ impl Server {
     ///
     /// Fails when the address cannot be bound.
     pub fn bind(config: ServerConfig) -> io::Result<Self> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let pool = ThreadPool::new(config.threads);
-        let explorer = Explorer::with_threads(config.threads);
+        let metrics = Arc::new(Metrics::new());
+        let listener = Listener::bind(
+            &config.addr,
+            config.threads,
+            config.queue,
+            config.retry_after_ms,
+            Arc::clone(&metrics),
+        )?;
         let ctx = Arc::new(Ctx {
-            metrics: Arc::new(Metrics::new()),
+            metrics,
             cache: ResponseCache::new(config.cache_capacity),
-            explorer,
-            inflight: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            idle: Mutex::new(()),
-            idle_cv: Condvar::new(),
+            explorer: Explorer::with_threads(config.threads),
             config,
         });
-        Ok(Server {
-            listener,
-            addr,
-            ctx,
-            pool,
-        })
+        Ok(Server { listener, ctx })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// A handle for shutdown and metrics.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            addr: self.addr,
-            ctx: Arc::clone(&self.ctx),
-        }
+        self.listener.handle()
     }
 
     /// Runs the accept loop until [`ServerHandle::shutdown`], then
@@ -254,224 +166,25 @@ impl Server {
     ///
     /// Propagates fatal listener errors.
     pub fn run(self) -> io::Result<()> {
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if self.ctx.shutdown.load(Ordering::SeqCst) {
-                drop(stream);
-                break;
-            }
-            let depth = self.ctx.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-            self.ctx.metrics.queue_entered(depth);
-            if depth > self.ctx.config.queue {
-                self.ctx.metrics.shed();
-                let ctx = Arc::clone(&self.ctx);
-                // A helper thread absorbs a slow peer; shed responses are
-                // bounded by the accept rate, not by synthesis time.
-                std::thread::spawn(move || {
-                    shed(stream, &ctx);
-                    ctx.request_done();
-                });
-                continue;
-            }
-            let ctx = Arc::clone(&self.ctx);
-            self.pool.execute(move || {
-                // Outer firewall: even a panic outside route() (request
-                // parsing, response writing) must not leak the in-flight
-                // slot, or shutdown would wait on it forever.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_connection(stream, &ctx);
-                }));
-                if caught.is_err() {
-                    ctx.metrics.panic();
-                }
-                ctx.request_done();
-            });
-        }
-        self.ctx.wait_idle();
-        // Dropping the pool joins every (now idle) worker.
-        drop(self.pool);
-        Ok(())
+        self.listener.run(self.ctx)
     }
 }
 
-/// Answers one over-capacity connection with 503 + `Retry-After` (whole
-/// seconds, the header's unit) + `Retry-After-Ms` (exact).
-fn shed(mut stream: TcpStream, ctx: &Ctx) {
-    let started = Instant::now();
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(1000)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
-    // Read (and discard) the request so the client reliably sees the
-    // response instead of a reset; ignore unreadable requests.
-    let (endpoint, v1) = match read_request(&mut stream) {
-        Ok(req) => parse_route(&req),
-        Err(_) => ("unknown", false),
-    };
-    let ms = ctx.config.retry_after_ms;
-    let body = if v1 {
-        api::error_envelope("overloaded", "server overloaded", None, Some(ms))
-    } else {
-        Json::Obj(vec![
-            ("error".into(), Json::Str("server overloaded".into())),
-            (
-                "retry_after_secs".into(),
-                Json::Num(ctx.config.retry_after_secs() as f64),
-            ),
-        ])
-    };
-    let resp = Response::json(503, body.render().into_bytes())
-        .with_header("Retry-After", ctx.config.retry_after_secs().to_string())
-        .with_header("Retry-After-Ms", ms.to_string());
-    let _ = resp.write_to(&mut stream);
-    ctx.metrics
-        .observe_request(endpoint, 503, started.elapsed());
-}
-
-/// Resolves a request path to its `(endpoint label, is_v1)` pair.
-/// Legacy unversioned paths keep resolving (behind a `Deprecation`
-/// header downstream); `/v1/batch` has no legacy twin.
-pub(crate) fn parse_route(req: &Request) -> (&'static str, bool) {
-    match req.path.split('?').next().unwrap_or("") {
-        "/healthz" => ("healthz", false),
-        "/metrics" => ("metrics", false),
-        "/synthesize" => ("synthesize", false),
-        "/explore" => ("explore", false),
-        "/v1/healthz" => ("healthz", true),
-        "/v1/metrics" => ("metrics", true),
-        "/v1/synthesize" => ("synthesize", true),
-        "/v1/explore" => ("explore", true),
-        "/v1/batch" => ("batch", true),
-        other => ("unknown", other.starts_with("/v1/")),
+impl Service for Ctx {
+    fn healthz(&self) -> Response {
+        Response::json(200, br#"{"status":"ok"}"#.to_vec())
     }
-}
 
-/// Reads, routes, answers, and records one connection.
-fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
-    let started = Instant::now();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(5000)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(5000)));
-    let req = match read_request(&mut stream) {
-        Ok(req) => req,
-        Err(ReadError::Closed) => return,
-        Err(ReadError::Io(_)) => return,
-        Err(ReadError::TooLarge) => {
-            // The request never parsed, so its API version is unknown;
-            // pre-route errors keep the legacy shape.
-            let resp = error_response(413, "request too large", false);
-            let _ = resp.write_to(&mut stream);
-            ctx.metrics
-                .observe_request("unknown", 413, started.elapsed());
-            return;
-        }
-        Err(ReadError::Malformed(why)) => {
-            let resp = error_response(400, why, false);
-            let _ = resp.write_to(&mut stream);
-            ctx.metrics
-                .observe_request("unknown", 400, started.elapsed());
-            return;
-        }
-    };
-    let (endpoint, v1) = parse_route(&req);
-    if endpoint == "batch" && req.method == "POST" {
-        // The batch handler streams its own chunked response (and owns
-        // the error paths before the stream starts), so it bypasses the
-        // buffered write below. Same firewall contract as route().
-        let status = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch(&req, &mut stream, ctx)
-        }))
-        .unwrap_or_else(|payload| {
-            ctx.metrics.panic();
-            eprintln!(
-                "panic in /batch handler: {}",
-                panic_message(payload.as_ref())
-            );
-            500
-        });
-        ctx.metrics
-            .observe_request(endpoint, status, started.elapsed());
-        return;
+    fn synthesize(&self, req: &Request) -> Response {
+        synthesize(req, self)
     }
-    // Panic firewall: a bug anywhere in the synthesis pipeline must cost
-    // one 500, not a worker thread. AssertUnwindSafe is sound here
-    // because `ctx` only holds lock-guarded or atomic state that stays
-    // consistent if a request dies mid-flight (a poisoned metrics lock
-    // would itself panic on the *next* request, so route() never leaves
-    // one behind: the registry methods do not panic while holding it).
-    let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        route(&req, endpoint, v1, ctx)
-    }))
-    .unwrap_or_else(|payload| {
-        ctx.metrics.panic();
-        let msg = panic_message(payload.as_ref());
-        eprintln!("panic in /{endpoint} handler: {msg}");
-        error_response(500, &format!("internal error: {msg}"), v1)
-    });
-    let status = resp.status;
-    let _ = resp.write_to(&mut stream);
-    ctx.metrics
-        .observe_request(endpoint, status, started.elapsed());
-}
 
-/// A printable panic payload (panics carry `&str` or `String` in practice).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "unknown panic"
+    fn explore(&self, req: &Request) -> Response {
+        explore(req, self)
     }
-}
 
-/// The v1 machine-readable error code for an HTTP status.
-pub(crate) fn error_code(status: u16) -> &'static str {
-    match status {
-        400 => "bad_request",
-        404 => "not_found",
-        405 => "method_not_allowed",
-        413 => "payload_too_large",
-        422 => "unprocessable",
-        503 => "overloaded",
-        504 => "deadline_exceeded",
-        _ => "internal",
-    }
-}
-
-/// A JSON error body: v1 requests get the
-/// `{"error":{"code","message"}}` envelope, legacy requests keep the
-/// flat `{"error":"msg"}` shape.
-pub(crate) fn error_response(status: u16, msg: &str, v1: bool) -> Response {
-    let body = if v1 {
-        api::error_envelope(error_code(status), msg, None, None)
-    } else {
-        Json::Obj(vec![("error".into(), Json::Str(msg.into()))])
-    };
-    Response::json(status, body.render().into_bytes())
-}
-
-/// Dispatches one parsed request. Legacy (unversioned) hits on known
-/// endpoints are counted and answered with a `Deprecation: true` header
-/// over the old-shape body.
-fn route(req: &Request, endpoint: &str, v1: bool, ctx: &Ctx) -> Response {
-    let resp = match (endpoint, req.method.as_str()) {
-        ("healthz", "GET") => Response::json(200, br#"{"status":"ok"}"#.to_vec()),
-        ("metrics", "GET") => Response::text(200, ctx.metrics.render().into_bytes()),
-        ("synthesize", "POST") => synthesize(req, ctx, v1),
-        ("explore", "POST") => explore(req, ctx, v1),
-        ("healthz" | "metrics" | "synthesize" | "explore" | "batch", _) => {
-            error_response(405, "method not allowed", v1)
-        }
-        _ => error_response(404, "no such endpoint", v1),
-    };
-    if v1 || endpoint == "unknown" {
-        resp
-    } else {
-        ctx.metrics.deprecated_request(endpoint);
-        resp.with_header("Deprecation", "true".into())
+    fn batch(&self, req: &Request, stream: &mut TcpStream) -> u16 {
+        batch(req, stream, self)
     }
 }
 
@@ -485,58 +198,50 @@ fn deadline_token(ctx: &Ctx, requested_ms: Option<u64>) -> CancelToken {
     CancelToken::with_timeout(effective)
 }
 
-/// Maps a synthesis failure onto an HTTP response. The v1 504 carries
-/// the last completed stage inside the envelope (`error.stage`); legacy
-/// keeps the top-level `completed_stage` member.
-fn synthesis_error_response(e: &SynthesisError, ctx: &Ctx, v1: bool) -> Response {
+/// Maps a synthesis failure onto an HTTP response. A 504 carries the
+/// last completed stage inside the envelope (`error.stage`).
+fn synthesis_error_response(e: &SynthesisError, ctx: &Ctx) -> Response {
     match e {
-        SynthesisError::Parse(_) => error_response(422, &e.to_string(), v1),
+        SynthesisError::Parse(_) => error_response(422, &e.to_string()),
         SynthesisError::Cancelled { completed } => {
             ctx.metrics.deadline_cancelled();
-            let body = if v1 {
-                api::error_envelope(
-                    "deadline_exceeded",
-                    "deadline exceeded",
-                    Some(completed),
-                    None,
-                )
-            } else {
-                Json::Obj(vec![
-                    ("error".into(), Json::Str("deadline exceeded".into())),
-                    ("completed_stage".into(), Json::Str((*completed).into())),
-                ])
-            };
+            let body = api::error_envelope(
+                "deadline_exceeded",
+                "deadline exceeded",
+                Some(completed),
+                None,
+            );
             Response::json(504, body.render().into_bytes())
         }
-        other => error_response(500, &other.to_string(), v1),
+        other => error_response(500, &other.to_string()),
     }
 }
 
-/// Wraps a cached-or-fresh 200 body for the requested API version: v1
-/// splices the serve-time `cache_hit` field in; both versions keep the
-/// `X-HLS-Cache` header.
-fn ok_with_cache_flag(body: &[u8], hit: bool, v1: bool) -> Response {
-    let rendered = if v1 {
-        api::with_cache_hit(body, hit)
-    } else {
-        body.to_vec()
+/// Serves `key` from the response cache, or renders it with `render`
+/// and caches the result; either way the body gets its `cache_hit` flag.
+fn cached(ctx: &Ctx, key: u64, render: impl FnOnce() -> Result<Vec<u8>, Response>) -> Response {
+    if ctx.config.cache_capacity > 0 {
+        if let Some(cached) = ctx.cache.get(key) {
+            ctx.metrics.cache_hit();
+            return Response::json(200, api::with_cache_hit(&cached, true));
+        }
+        ctx.metrics.cache_miss();
+    }
+    let rendered = match render() {
+        Ok(r) => Arc::new(r),
+        Err(resp) => return resp,
     };
-    Response::json(200, rendered)
-        .with_header("X-HLS-Cache", if hit { "hit" } else { "miss" }.into())
+    if ctx.config.cache_capacity > 0 {
+        ctx.cache.insert(key, Arc::clone(&rendered));
+    }
+    Response::json(200, api::with_cache_hit(&rendered, false))
 }
 
-/// `POST /synthesize` and `POST /v1/synthesize`.
-fn synthesize(req: &Request, ctx: &Ctx, v1: bool) -> Response {
-    let body = match std::str::from_utf8(&req.body)
-        .map_err(|_| "body is not utf-8".to_string())
-        .and_then(|text| json::parse(text).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(msg) => return error_response(400, &msg, v1),
-    };
-    let parsed = match api::SynthesizeRequest::from_json(&body) {
+/// `POST /v1/synthesize`.
+fn synthesize(req: &Request, ctx: &Ctx) -> Response {
+    let parsed = match parse_body(req, api::SynthesizeRequest::from_json) {
         Ok(p) => p,
-        Err(e) => return error_response(422, &e.0, v1),
+        Err((status, msg)) => return error_response(status, &msg),
     };
     let cancel = deadline_token(ctx, parsed.deadline_ms);
     // Test-only hold: occupies this worker (for saturation tests) while
@@ -552,11 +257,11 @@ fn synthesize(req: &Request, ctx: &Ctx, v1: bool) -> Response {
         panic!("test-injected panic in synthesize stage");
     }
     if hls_lang::is_system_source(&parsed.source) {
-        return synthesize_system(&parsed, ctx, v1);
+        return synthesize_system(&parsed, ctx);
     }
     let cdfg = match hls_lang::compile(&parsed.source) {
         Ok(c) => c,
-        Err(e) => return error_response(422, &format!("parse: {e}"), v1),
+        Err(e) => return error_response(422, &format!("parse: {e}")),
     };
     let behavior_fp = cdfg_fingerprint(&cdfg);
     let key = response_key(
@@ -565,96 +270,63 @@ fn synthesize(req: &Request, ctx: &Ctx, v1: bool) -> Response {
         parsed.synthesizer.fingerprint(),
         u64::from(parsed.verilog),
     );
-    if ctx.config.cache_capacity > 0 {
-        if let Some(cached) = ctx.cache.get(key) {
-            ctx.metrics.cache_hit();
-            return ok_with_cache_flag(&cached, true, v1);
-        }
-        ctx.metrics.cache_miss();
-    }
-    let result = match parsed.synthesizer.synthesize_cancellable(cdfg, &cancel) {
-        Ok(r) => r,
-        Err(e) => return synthesis_error_response(&e, ctx, v1),
-    };
-    ctx.metrics.observe_stages(result.stage_nanos);
-    let rendered = api::synthesize_response(&parsed, behavior_fp, &result)
-        .render()
-        .into_bytes();
-    let rendered = Arc::new(rendered);
-    if ctx.config.cache_capacity > 0 {
-        ctx.cache.insert(key, Arc::clone(&rendered));
-    }
-    ok_with_cache_flag(&rendered, false, v1)
+    cached(ctx, key, || {
+        let result = parsed
+            .synthesizer
+            .synthesize_cancellable(cdfg, &cancel)
+            .map_err(|e| synthesis_error_response(&e, ctx))?;
+        ctx.metrics.observe_stages(result.stage_nanos);
+        Ok(api::synthesize_response(&parsed, behavior_fp, &result)
+            .render()
+            .into_bytes())
+    })
 }
 
-/// `POST /synthesize` for a multi-process `system` source: every
+/// `POST /v1/synthesize` for a multi-process `system` source: every
 /// process runs the full per-behavior pipeline and the response carries
 /// per-process metrics plus (on request) the elaborated top-level
 /// Verilog with the handshake interconnect. System synthesis has no
 /// between-stage cancel points yet, so the deadline is not enforced
 /// mid-flight here.
-fn synthesize_system(parsed: &api::SynthesizeRequest, ctx: &Ctx, v1: bool) -> Response {
+fn synthesize_system(parsed: &api::SynthesizeRequest, ctx: &Ctx) -> Response {
     let sys = match hls_lang::compile_system(&parsed.source) {
         Ok(s) => s,
-        Err(e) => return error_response(422, &format!("parse: {e}"), v1),
+        Err(e) => return error_response(422, &format!("parse: {e}")),
     };
     let behavior_fp = api::system_fingerprint(&sys);
-    // The v1 body differs (per-process `clock_ns`), so each version
-    // caches its own rendering; bit 1 of the flags keeps them apart.
     let key = response_key(
         "synthesize-system",
         behavior_fp,
         parsed.synthesizer.fingerprint(),
-        u64::from(parsed.verilog) | (u64::from(v1) << 1),
+        u64::from(parsed.verilog),
     );
-    if ctx.config.cache_capacity > 0 {
-        if let Some(cached) = ctx.cache.get(key) {
-            ctx.metrics.cache_hit();
-            return ok_with_cache_flag(&cached, true, v1);
+    cached(ctx, key, || {
+        let result = parsed
+            .synthesizer
+            .synthesize_system(sys)
+            .map_err(|e| synthesis_error_response(&e, ctx))?;
+        for p in &result.processes {
+            ctx.metrics.observe_stages(p.result.stage_nanos);
         }
-        ctx.metrics.cache_miss();
-    }
-    let result = match parsed.synthesizer.synthesize_system(sys) {
-        Ok(r) => r,
-        Err(e) => return synthesis_error_response(&e, ctx, v1),
-    };
-    for p in &result.processes {
-        ctx.metrics.observe_stages(p.result.stage_nanos);
-    }
-    let rendered = if v1 {
-        api::system_response_v1(parsed, behavior_fp, &result)
-    } else {
-        api::system_response(parsed, behavior_fp, &result)
-    }
-    .render()
-    .into_bytes();
-    let rendered = Arc::new(rendered);
-    if ctx.config.cache_capacity > 0 {
-        ctx.cache.insert(key, Arc::clone(&rendered));
-    }
-    ok_with_cache_flag(&rendered, false, v1)
+        Ok(api::system_response(parsed, behavior_fp, &result)
+            .render()
+            .into_bytes())
+    })
 }
 
-/// `POST /explore` and `POST /v1/explore`.
-fn explore(req: &Request, ctx: &Ctx, v1: bool) -> Response {
-    let body = match std::str::from_utf8(&req.body)
-        .map_err(|_| "body is not utf-8".to_string())
-        .and_then(|text| json::parse(text).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(msg) => return error_response(400, &msg, v1),
-    };
-    let parsed = match api::ExploreRequest::from_json(&body) {
+/// `POST /v1/explore`.
+fn explore(req: &Request, ctx: &Ctx) -> Response {
+    let parsed = match parse_body(req, api::ExploreRequest::from_json) {
         Ok(p) => p,
-        Err(e) => return error_response(422, &e.0, v1),
+        Err((status, msg)) => return error_response(status, &msg),
     };
     let cancel = deadline_token(ctx, parsed.deadline_ms);
     if hls_lang::is_system_source(&parsed.source) {
-        return error_response(422, "explore does not accept system sources", v1);
+        return error_response(422, "explore does not accept system sources");
     }
     let cdfg = match hls_lang::compile(&parsed.source) {
         Ok(c) => c,
-        Err(e) => return error_response(422, &format!("parse: {e}"), v1),
+        Err(e) => return error_response(422, &format!("parse: {e}")),
     };
     let behavior_fp = cdfg_fingerprint(&cdfg);
     let config_fp = parsed.synthesizer.fingerprint();
@@ -670,129 +342,32 @@ fn explore(req: &Request, ctx: &Ctx, v1: bool) -> Response {
         w.finish()
     };
     let key = response_key("explore", behavior_fp, config_fp, spec_fp);
-    if ctx.config.cache_capacity > 0 {
-        if let Some(cached) = ctx.cache.get(key) {
-            ctx.metrics.cache_hit();
-            return ok_with_cache_flag(&cached, true, v1);
-        }
-        ctx.metrics.cache_miss();
-    }
-    let rendered = if parsed.prune {
-        let sweep = match ctx.explorer.sweep_grid_cdfg_pruned_cancellable(
-            &parsed.synthesizer,
-            &cdfg,
-            &parsed.spec,
-            &cancel,
-        ) {
-            Ok(s) => s,
-            Err(e) => return synthesis_error_response(&e, ctx, v1),
+    cached(ctx, key, || {
+        let fail = |e: SynthesisError| synthesis_error_response(&e, ctx);
+        let body = if parsed.prune {
+            let sweep = ctx
+                .explorer
+                .sweep_grid_cdfg_pruned_cancellable(
+                    &parsed.synthesizer,
+                    &cdfg,
+                    &parsed.spec,
+                    &cancel,
+                )
+                .map_err(fail)?;
+            ctx.metrics.points_pruned(sweep.stats.pruned as u64);
+            api::explore_response_pruned(&sweep, behavior_fp, config_fp)
+        } else {
+            let points = ctx
+                .explorer
+                .sweep_grid_cdfg_cancellable(&parsed.synthesizer, &cdfg, &parsed.spec, &cancel)
+                .map_err(fail)?;
+            api::explore_response(&points, behavior_fp, config_fp)
         };
-        ctx.metrics.points_pruned(sweep.stats.pruned as u64);
-        api::explore_response_pruned(&sweep, behavior_fp, config_fp)
-    } else {
-        let points = match ctx.explorer.sweep_grid_cdfg_cancellable(
-            &parsed.synthesizer,
-            &cdfg,
-            &parsed.spec,
-            &cancel,
-        ) {
-            Ok(p) => p,
-            Err(e) => return synthesis_error_response(&e, ctx, v1),
-        };
-        api::explore_response(&points, behavior_fp, config_fp)
-    }
-    .render()
-    .into_bytes();
-    let rendered = Arc::new(rendered);
-    if ctx.config.cache_capacity > 0 {
-        ctx.cache.insert(key, Arc::clone(&rendered));
-    }
-    ok_with_cache_flag(&rendered, false, v1)
+        Ok(body.render().into_bytes())
+    })
 }
 
-/// Serializes batch NDJSON lines onto one chunked response stream.
-///
-/// Grid points complete on pool workers in any order; records are keyed
-/// by their *local index* in the request (0..n) and written strictly in
-/// that order via a reorder buffer, so the byte stream of a batch is a
-/// deterministic function of the request whenever every point's outcome
-/// is (e.g. all cache hits). A failed write marks the client gone and
-/// cancels the batch token so remaining synthesis stops early.
-struct BatchEmitter {
-    inner: Mutex<EmitterInner>,
-    cancel: CancelToken,
-}
-
-struct EmitterInner {
-    stream: TcpStream,
-    /// Next local index to write.
-    next: usize,
-    /// Completed records waiting for their turn, by local index.
-    pending: BTreeMap<usize, Vec<u8>>,
-    failed: bool,
-}
-
-impl BatchEmitter {
-    fn new(stream: TcpStream, cancel: CancelToken) -> Self {
-        BatchEmitter {
-            inner: Mutex::new(EmitterInner {
-                stream,
-                next: 0,
-                pending: BTreeMap::new(),
-                failed: false,
-            }),
-            cancel,
-        }
-    }
-
-    /// Queues record `idx` and flushes every now-contiguous record.
-    fn push(&self, idx: usize, mut line: Vec<u8>) {
-        line.push(b'\n');
-        let mut g = self.inner.lock().expect("emitter lock");
-        if g.failed {
-            return;
-        }
-        g.pending.insert(idx, line);
-        loop {
-            let next = g.next;
-            let Some(line) = g.pending.remove(&next) else {
-                break;
-            };
-            if write_chunk(&mut g.stream, &line).is_err() {
-                // Mid-stream disconnect: drop the backlog and cancel the
-                // token so in-flight points stop at the next stage check.
-                g.failed = true;
-                g.pending.clear();
-                self.cancel.cancel();
-                return;
-            }
-            g.next += 1;
-        }
-    }
-
-    /// Writes the terminal line and the chunked terminator; `false` if
-    /// the client disconnected at any point.
-    fn finish(&self, terminal: &[u8]) -> bool {
-        let mut g = self.inner.lock().expect("emitter lock");
-        if g.failed {
-            return false;
-        }
-        let mut line = terminal.to_vec();
-        line.push(b'\n');
-        if write_chunk(&mut g.stream, &line).is_err() || finish_chunked(&mut g.stream).is_err() {
-            g.failed = true;
-            return false;
-        }
-        true
-    }
-
-    fn has_failed(&self) -> bool {
-        self.inner.lock().expect("emitter lock").failed
-    }
-}
-
-/// Renders one failed grid point as its NDJSON error record (shared by
-/// the exhaustive and pruned batch callbacks).
+/// Renders one failed grid point as its NDJSON error record.
 fn batch_error_line(seq: u64, e: &SynthesisError) -> Json {
     match e {
         SynthesisError::Cancelled { completed } => api::batch_error_record(
@@ -811,45 +386,33 @@ fn batch_error_line(seq: u64, e: &SynthesisError) -> Json {
     }
 }
 
-/// `POST /v1/batch`: streams one NDJSON record per completed grid point
-/// over a chunked response, then a terminal summary line. Returns the
-/// status for the metrics label (499 = client disconnected mid-stream).
+/// `POST /v1/batch`: streams one NDJSON record per grid point, in
+/// request order, over a chunked response, then a terminal summary line.
+/// Returns the status for the metrics label (499 = client disconnected
+/// mid-stream).
 fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
-    let fail = |stream: &mut TcpStream, status: u16, msg: &str| {
-        let _ = error_response(status, msg, true).write_to(stream);
-        status
-    };
-    let body = match std::str::from_utf8(&req.body)
-        .map_err(|_| "body is not utf-8".to_string())
-        .and_then(|text| json::parse(text).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(msg) => return fail(stream, 400, &msg),
-    };
-    let parsed = match api::BatchRequest::from_json(&body) {
+    let parsed = match parse_body(req, api::BatchRequest::from_json) {
         Ok(p) => p,
-        Err(e) => return fail(stream, 422, &e.0),
+        Err((status, msg)) => return write_error(stream, status, &msg),
     };
     if hls_lang::is_system_source(&parsed.source) {
-        return fail(stream, 422, "batch does not accept system sources");
+        return write_error(stream, 422, "batch does not accept system sources");
     }
     let cdfg = match hls_lang::compile(&parsed.source) {
         Ok(c) => c,
-        Err(e) => return fail(stream, 422, &format!("parse: {e}")),
+        Err(e) => return write_error(stream, 422, &format!("parse: {e}")),
     };
     let cancel = deadline_token(ctx, parsed.deadline_ms);
     let Ok(out) = stream.try_clone() else {
-        return fail(stream, 500, "connection unavailable");
+        return write_error(stream, 500, "connection unavailable");
     };
     if start_chunked(stream, 200, "application/x-ndjson", &[]).is_err() {
         return 499;
     }
     let n = parsed.points.len();
-    let seqs: Arc<Vec<u64>> = Arc::new(parsed.points.iter().map(|(s, _)| *s).collect());
     let points: Vec<GridPoint> = parsed.points.iter().map(|(_, p)| *p).collect();
-    let emitter = Arc::new(BatchEmitter::new(out, cancel.clone()));
-    type Slot = Option<(DesignPoint, bool)>;
-    let results: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(vec![None; n]));
+    let emitter = Arc::new(NdjsonEmitter::new(out, cancel.clone()));
+    let completed: Arc<Mutex<Vec<(u64, DesignPoint, bool)>>> = Arc::default();
     let delay = if ctx.config.allow_test_delay {
         parsed.test_delay_ms
     } else {
@@ -861,14 +424,18 @@ fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
     if delay > 0 {
         std::thread::sleep(Duration::from_millis(delay));
     }
-    let sweep_result: Result<Option<hls_core::PruneStats>, SynthesisError> = if parsed.prune {
-        let cb = {
-            let emitter = Arc::clone(&emitter);
-            let results = Arc::clone(&results);
-            let seqs = Arc::clone(&seqs);
-            let points = Arc::new(points.clone());
-            let metrics = Arc::clone(&ctx.metrics);
+    // One record per grid point, by local index; both sweep flavors
+    // report through it.
+    let record = {
+        let emitter = Arc::clone(&emitter);
+        let completed = Arc::clone(&completed);
+        let seqs: Vec<u64> = parsed.points.iter().map(|(s, _)| *s).collect();
+        let points = points.clone();
+        let metrics = Arc::clone(&ctx.metrics);
+        Arc::new(
             move |idx: usize, res: Result<StreamedPoint, SynthesisError>| {
+                // Test-only pacing: holds this pool worker per point so
+                // tests can observe mid-batch state deterministically.
                 if delay > 0 {
                     std::thread::sleep(Duration::from_millis(delay));
                 }
@@ -878,18 +445,18 @@ fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
                         metrics.points_pruned(1);
                         api::batch_pruned_record(seq, &points[idx])
                     }
-                    Ok(StreamedPoint::Synthesized {
-                        point: dp,
-                        cache_hit: hit,
-                    }) => {
-                        metrics.batch_point(if hit {
+                    Ok(StreamedPoint::Synthesized { point, cache_hit }) => {
+                        metrics.batch_point(if cache_hit {
                             BatchOutcome::Hit
                         } else {
                             BatchOutcome::Miss
                         });
-                        let record = api::batch_point_record(seq, hit, &points[idx], &dp);
-                        results.lock().expect("results lock")[idx] = Some((dp, hit));
-                        record
+                        let line = api::batch_point_record(seq, cache_hit, &points[idx], &point);
+                        completed
+                            .lock()
+                            .expect("results lock")
+                            .push((seq, point, cache_hit));
+                        line
                     }
                     Err(e) => {
                         metrics.batch_point(BatchOutcome::Error);
@@ -897,50 +464,42 @@ fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
                     }
                 };
                 emitter.push(idx, line.render().into_bytes());
-            }
-        };
+            },
+        )
+    };
+    let swept = if parsed.prune {
+        let record = Arc::clone(&record);
         ctx.explorer
-            .sweep_points_cdfg_streaming_pruned(&parsed.synthesizer, &cdfg, points, &cancel, cb)
-            .map(Some)
+            .sweep_points_cdfg_streaming_pruned(
+                &parsed.synthesizer,
+                &cdfg,
+                points,
+                &cancel,
+                move |idx, res| record(idx, res),
+            )
+            .map(|stats| Some(stats.pruned))
     } else {
-        let cb = {
-            let emitter = Arc::clone(&emitter);
-            let results = Arc::clone(&results);
-            let seqs = Arc::clone(&seqs);
-            let points = Arc::new(points.clone());
-            let metrics = Arc::clone(&ctx.metrics);
-            move |idx: usize, res: Result<(DesignPoint, bool), SynthesisError>| {
-                // Test-only pacing: holds this pool worker per point so
-                // tests can observe mid-batch state deterministically.
-                if delay > 0 {
-                    std::thread::sleep(Duration::from_millis(delay));
-                }
-                let seq = seqs[idx];
-                let line = match res {
-                    Ok((dp, hit)) => {
-                        metrics.batch_point(if hit {
-                            BatchOutcome::Hit
-                        } else {
-                            BatchOutcome::Miss
-                        });
-                        let record = api::batch_point_record(seq, hit, &points[idx], &dp);
-                        results.lock().expect("results lock")[idx] = Some((dp, hit));
-                        record
-                    }
-                    Err(e) => {
-                        metrics.batch_point(BatchOutcome::Error);
-                        batch_error_line(seq, &e)
-                    }
-                };
-                emitter.push(idx, line.render().into_bytes());
-            }
-        };
+        let record = Arc::clone(&record);
         ctx.explorer
-            .sweep_points_cdfg_streaming(&parsed.synthesizer, &cdfg, points, &cancel, cb)
+            .sweep_points_cdfg_streaming(
+                &parsed.synthesizer,
+                &cdfg,
+                points,
+                &cancel,
+                move |idx, res| {
+                    record(
+                        idx,
+                        res.map(|(point, cache_hit)| StreamedPoint::Synthesized {
+                            point,
+                            cache_hit,
+                        }),
+                    )
+                },
+            )
             .map(|()| None)
     };
-    let stats = match sweep_result {
-        Ok(stats) => stats,
+    let pruned = match swept {
+        Ok(pruned) => pruned,
         Err(e) => {
             // Shared preparation failed before any point ran: the chunked
             // head is already on the wire, so the error goes out as the
@@ -952,28 +511,10 @@ fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
             return 200;
         }
     };
-    // Summary over the completed points in *seq* order (completion
-    // order varies; the rendering must not).
-    let slots = results.lock().expect("results lock");
-    let mut completed: Vec<(u64, DesignPoint, bool)> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.as_ref().map(|(dp, hit)| (seqs[i], dp.clone(), *hit)))
-        .collect();
-    drop(slots);
-    completed.sort_by_key(|(seq, _, _)| *seq);
-    let ok = completed.len();
-    let hits = completed.iter().filter(|(_, _, hit)| *hit).count();
-    let pts: Vec<DesignPoint> = completed.iter().map(|(_, dp, _)| dp.clone()).collect();
-    let summary = match stats {
-        Some(stats) => {
-            let errors = n.saturating_sub(ok).saturating_sub(stats.pruned);
-            api::batch_summary_pruned(n, ok, errors, hits, stats.pruned, &pts)
-        }
-        None => api::batch_summary(n, ok, n - ok, hits, &pts),
-    }
-    .render()
-    .into_bytes();
+    let completed = std::mem::take(&mut *completed.lock().expect("results lock"));
+    let summary = api::batch_summary(n, completed, pruned)
+        .render()
+        .into_bytes();
     if emitter.has_failed() {
         ctx.metrics.batch_cancelled();
         return 499;

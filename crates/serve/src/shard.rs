@@ -7,7 +7,7 @@
 //! behavior+configuration always lands on the same worker and cache
 //! affinity falls out of the routing for free.
 //!
-//! - **Single requests** (`/synthesize`, `/explore`, v1 or legacy) are
+//! - **Single requests** (`/v1/synthesize`, `/v1/explore`) are
 //!   proxied verbatim: one upstream connection per request, the worker's
 //!   response forwarded unchanged. A worker that fails mid-proxy is
 //!   marked dead and the request re-hashes to the next live worker on
@@ -20,30 +20,34 @@
 //!   the request even across differently-paced workers. Points stranded
 //!   by a worker death are re-hashed onto the survivors; points no live
 //!   worker can take become `upstream_unavailable` error records.
-//! - `/healthz` probes every worker and aggregates liveness;
-//!   `/metrics` exposes the front's own registry, including
+//! - `/v1/healthz` probes every worker and aggregates liveness;
+//!   `/v1/metrics` exposes the front's own registry, including
 //!   `hls_serve_shard_requests_total{worker=…}`.
+//!
+//! Everything else — admission, shedding, routing, the error envelope,
+//! the panic firewall and the drain — is the listener core the worker
+//! runs too; this module keeps only the ring, liveness, the proxy, the
+//! batch fan-out and worker spawning.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use hls_core::par::ThreadPool;
-use hls_core::{cdfg_fingerprint, DesignPoint, GridPoint, Synthesizer};
+use hls_core::{cdfg_fingerprint, CancelToken, DesignPoint, GridPoint, Synthesizer};
 
 use crate::api;
-use crate::http::{
-    finish_chunked, read_request, start_chunked, write_chunk, ChunkedLineReader, ClientResponse,
-    ReadError, Request, Response,
-};
+use crate::http::{start_chunked, ChunkedLineReader, ClientResponse, Request, Response};
 use crate::json::{self, Json};
+use crate::listener::{
+    overloaded, parse_body, write_error, Listener, NdjsonEmitter, ServerHandle, Service,
+};
 use crate::metrics::{BatchOutcome, Metrics};
-use crate::server::{error_response, parse_route, ServerConfig};
+use crate::ServerConfig;
 
 /// Virtual nodes per worker on the hash ring: enough that removing one
 /// worker spreads its keyspace evenly over the survivors.
@@ -158,32 +162,12 @@ struct FrontCtx {
     config: FrontConfig,
     ring: Ring,
     /// Last-known liveness per worker; proxy failures clear a flag,
-    /// `/healthz` probes refresh all of them.
+    /// `/v1/healthz` probes refresh all of them.
     alive: Vec<AtomicBool>,
     metrics: Arc<Metrics>,
-    inflight: AtomicUsize,
-    shutdown: AtomicBool,
-    idle: Mutex<()>,
-    idle_cv: Condvar,
 }
 
 impl FrontCtx {
-    fn request_done(&self) {
-        let before = self.inflight.fetch_sub(1, Ordering::SeqCst);
-        self.metrics.queue_left(before.saturating_sub(1));
-        if before == 1 {
-            let _guard = self.idle.lock().expect("idle lock");
-            self.idle_cv.notify_all();
-        }
-    }
-
-    fn wait_idle(&self) {
-        let mut guard = self.idle.lock().expect("idle lock");
-        while self.inflight.load(Ordering::SeqCst) > 0 {
-            guard = self.idle_cv.wait(guard).expect("idle wait");
-        }
-    }
-
     fn is_alive(&self, w: usize) -> bool {
         self.alive[w].load(Ordering::SeqCst)
     }
@@ -191,46 +175,12 @@ impl FrontCtx {
     fn mark_dead(&self, w: usize) {
         self.alive[w].store(false, Ordering::SeqCst);
     }
-
-    fn retry_after_secs(&self) -> u64 {
-        self.config.retry_after_ms.div_ceil(1000).max(1)
-    }
 }
 
-/// The running front process.
+/// The front process, bound to its listener.
 pub struct Front {
-    listener: TcpListener,
-    addr: SocketAddr,
+    listener: Listener,
     ctx: Arc<FrontCtx>,
-    pool: ThreadPool,
-}
-
-/// A cloneable handle for shutting the front down and reading metrics.
-#[derive(Clone)]
-pub struct FrontHandle {
-    addr: SocketAddr,
-    ctx: Arc<FrontCtx>,
-}
-
-impl FrontHandle {
-    /// The address the front is listening on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The front's metrics registry.
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.ctx.metrics)
-    }
-
-    /// Requests a graceful shutdown (drain, then return from
-    /// [`Front::run`]). Idempotent. Workers are not stopped here — the
-    /// caller owns their lifecycle (see [`SpawnedWorker`]).
-    pub fn shutdown(&self) {
-        if !self.ctx.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
 }
 
 impl Front {
@@ -246,9 +196,14 @@ impl Front {
                 "front needs at least one worker",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let pool = ThreadPool::new(config.threads);
+        let metrics = Arc::new(Metrics::new());
+        let listener = Listener::bind(
+            &config.addr,
+            config.threads,
+            config.queue,
+            config.retry_after_ms,
+            Arc::clone(&metrics),
+        )?;
         let ctx = Arc::new(FrontCtx {
             ring: Ring::new(config.workers.len()),
             alive: config
@@ -256,168 +211,53 @@ impl Front {
                 .iter()
                 .map(|_| AtomicBool::new(true))
                 .collect(),
-            metrics: Arc::new(Metrics::new()),
-            inflight: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            idle: Mutex::new(()),
-            idle_cv: Condvar::new(),
+            metrics,
             config,
         });
-        Ok(Front {
-            listener,
-            addr,
-            ctx,
-            pool,
-        })
+        Ok(Front { listener, ctx })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
-    /// A handle for shutdown and metrics.
-    pub fn handle(&self) -> FrontHandle {
-        FrontHandle {
-            addr: self.addr,
-            ctx: Arc::clone(&self.ctx),
-        }
+    /// A handle for shutdown and metrics. Shutting the front down does
+    /// not stop its workers; the caller owns their lifecycle (see
+    /// [`SpawnedWorker`]).
+    pub fn handle(&self) -> ServerHandle {
+        self.listener.handle()
     }
 
-    /// Runs the accept loop until [`FrontHandle::shutdown`], then drains.
+    /// Runs the accept loop until [`ServerHandle::shutdown`], then drains.
     ///
     /// # Errors
     ///
     /// Propagates fatal listener errors.
     pub fn run(self) -> io::Result<()> {
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if self.ctx.shutdown.load(Ordering::SeqCst) {
-                drop(stream);
-                break;
-            }
-            let depth = self.ctx.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-            self.ctx.metrics.queue_entered(depth);
-            if depth > self.ctx.config.queue {
-                self.ctx.metrics.shed();
-                let ctx = Arc::clone(&self.ctx);
-                std::thread::spawn(move || {
-                    shed_front(stream, &ctx);
-                    ctx.request_done();
-                });
-                continue;
-            }
-            let ctx = Arc::clone(&self.ctx);
-            self.pool.execute(move || {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_front_connection(stream, &ctx);
-                }));
-                if caught.is_err() {
-                    ctx.metrics.panic();
-                }
-                ctx.request_done();
-            });
-        }
-        self.ctx.wait_idle();
-        drop(self.pool);
-        Ok(())
+        self.listener.run(self.ctx)
     }
 }
 
-/// Answers one over-capacity front connection with 503.
-fn shed_front(mut stream: TcpStream, ctx: &FrontCtx) {
-    let started = Instant::now();
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(1000)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
-    let (endpoint, v1) = match read_request(&mut stream) {
-        Ok(req) => parse_route(&req),
-        Err(_) => ("unknown", false),
-    };
-    let ms = ctx.config.retry_after_ms;
-    let body = if v1 {
-        api::error_envelope("overloaded", "server overloaded", None, Some(ms))
-    } else {
-        Json::Obj(vec![
-            ("error".into(), Json::Str("server overloaded".into())),
-            (
-                "retry_after_secs".into(),
-                Json::Num(ctx.retry_after_secs() as f64),
-            ),
-        ])
-    };
-    let resp = Response::json(503, body.render().into_bytes())
-        .with_header("Retry-After", ctx.retry_after_secs().to_string())
-        .with_header("Retry-After-Ms", ms.to_string());
-    let _ = resp.write_to(&mut stream);
-    ctx.metrics
-        .observe_request(endpoint, 503, started.elapsed());
-}
-
-/// Reads, routes, answers, and records one front connection.
-fn handle_front_connection(mut stream: TcpStream, ctx: &FrontCtx) {
-    let started = Instant::now();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(5000)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(5000)));
-    let req = match read_request(&mut stream) {
-        Ok(req) => req,
-        Err(ReadError::Closed | ReadError::Io(_)) => return,
-        Err(ReadError::TooLarge) => {
-            let _ = error_response(413, "request too large", false).write_to(&mut stream);
-            ctx.metrics
-                .observe_request("unknown", 413, started.elapsed());
-            return;
-        }
-        Err(ReadError::Malformed(why)) => {
-            let _ = error_response(400, why, false).write_to(&mut stream);
-            ctx.metrics
-                .observe_request("unknown", 400, started.elapsed());
-            return;
-        }
-    };
-    let (endpoint, v1) = parse_route(&req);
-    if !v1 && endpoint != "unknown" {
-        ctx.metrics.deprecated_request(endpoint);
+impl Service for FrontCtx {
+    fn healthz(&self) -> Response {
+        healthz(self)
     }
-    if endpoint == "batch" && req.method == "POST" {
-        let status = front_batch(&req, &mut stream, ctx);
-        ctx.metrics
-            .observe_request(endpoint, status, started.elapsed());
-        return;
-    }
-    let resp = match (endpoint, req.method.as_str()) {
-        // Front-local endpoints answer here; legacy paths get the
-        // Deprecation header from the front itself.
-        ("healthz", "GET") => deprecate(healthz(ctx), v1),
-        ("metrics", "GET") => deprecate(Response::text(200, ctx.metrics.render().into_bytes()), v1),
-        // Proxied endpoints keep the worker's response verbatim — it
-        // already carries the Deprecation header on legacy paths.
-        ("synthesize" | "explore", "POST") => proxy(&req, ctx, v1),
-        ("healthz" | "metrics" | "synthesize" | "explore" | "batch", _) => {
-            deprecate(error_response(405, "method not allowed", v1), v1)
-        }
-        _ => error_response(404, "no such endpoint", v1),
-    };
-    let status = resp.status;
-    let _ = resp.write_to(&mut stream);
-    ctx.metrics
-        .observe_request(endpoint, status, started.elapsed());
-}
 
-/// Adds the `Deprecation` header to a front-local legacy response.
-fn deprecate(resp: Response, v1: bool) -> Response {
-    if v1 {
-        resp
-    } else {
-        resp.with_header("Deprecation", "true".into())
+    fn synthesize(&self, req: &Request) -> Response {
+        proxy(req, self)
+    }
+
+    fn explore(&self, req: &Request) -> Response {
+        proxy(req, self)
+    }
+
+    fn batch(&self, req: &Request, stream: &mut TcpStream) -> u16 {
+        front_batch(req, stream, self)
     }
 }
 
-/// `GET /healthz`: probes every worker, refreshes the liveness flags,
+/// `GET /v1/healthz`: probes every worker, refreshes the liveness flags,
 /// and aggregates. All alive → `ok`, some → `degraded` (both 200), none
 /// → `down` with 503.
 fn healthz(ctx: &FrontCtx) -> Response {
@@ -500,13 +340,7 @@ fn request_key(req: &Request) -> u64 {
         w.update(&req.body);
         w.finish()
     };
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return fallback();
-    };
-    let Ok(body) = json::parse(text) else {
-        return fallback();
-    };
-    let Ok(parsed) = api::SynthesizeRequest::from_json(&body) else {
+    let Ok(parsed) = parse_body(req, api::SynthesizeRequest::from_json) else {
         return fallback();
     };
     let behavior_fp = if hls_lang::is_system_source(&parsed.source) {
@@ -525,7 +359,7 @@ fn request_key(req: &Request) -> u64 {
 
 /// Proxies one single-shot request to its routed worker, re-hashing past
 /// dead workers; 503 once the ring is empty.
-fn proxy(req: &Request, ctx: &FrontCtx, v1: bool) -> Response {
+fn proxy(req: &Request, ctx: &FrontCtx) -> Response {
     let key = request_key(req);
     let read_timeout = ctx.config.deadline + Duration::from_millis(5000);
     for _ in 0..ctx.config.workers.len() {
@@ -540,21 +374,7 @@ fn proxy(req: &Request, ctx: &FrontCtx, v1: bool) -> Response {
             Err(_) => ctx.mark_dead(w),
         }
     }
-    let ms = ctx.config.retry_after_ms;
-    let body = if v1 {
-        api::error_envelope("overloaded", "no live worker", None, Some(ms))
-    } else {
-        Json::Obj(vec![
-            ("error".into(), Json::Str("no live worker".into())),
-            (
-                "retry_after_secs".into(),
-                Json::Num(ctx.retry_after_secs() as f64),
-            ),
-        ])
-    };
-    Response::json(503, body.render().into_bytes())
-        .with_header("Retry-After", ctx.retry_after_secs().to_string())
-        .with_header("Retry-After-Ms", ms.to_string())
+    overloaded("no live worker", ctx.config.retry_after_ms)
 }
 
 /// One proxy attempt: send, read the whole response, rebuild it for the
@@ -573,73 +393,6 @@ fn forward(req: &Request, addr: &str, read_timeout: Duration) -> io::Result<Resp
         headers,
         body: upstream.body,
     })
-}
-
-/// Serializes front batch records to the client strictly in global seq
-/// order, whatever order workers deliver them in — this is what makes a
-/// front batch response byte-deterministic.
-struct SeqEmitter {
-    inner: Mutex<SeqEmitterInner>,
-}
-
-struct SeqEmitterInner {
-    stream: TcpStream,
-    /// Rank (position in the sorted seq list) of the next line to write.
-    next: usize,
-    pending: BTreeMap<usize, Vec<u8>>,
-    failed: bool,
-}
-
-impl SeqEmitter {
-    fn new(stream: TcpStream) -> Self {
-        SeqEmitter {
-            inner: Mutex::new(SeqEmitterInner {
-                stream,
-                next: 0,
-                pending: BTreeMap::new(),
-                failed: false,
-            }),
-        }
-    }
-
-    fn push(&self, rank: usize, mut line: Vec<u8>) {
-        line.push(b'\n');
-        let mut g = self.inner.lock().expect("emitter lock");
-        if g.failed {
-            return;
-        }
-        g.pending.insert(rank, line);
-        loop {
-            let next = g.next;
-            let Some(line) = g.pending.remove(&next) else {
-                break;
-            };
-            if write_chunk(&mut g.stream, &line).is_err() {
-                g.failed = true;
-                g.pending.clear();
-                return;
-            }
-            g.next += 1;
-        }
-    }
-
-    fn finish(&self, terminal: &[u8]) -> bool {
-        let mut g = self.inner.lock().expect("emitter lock");
-        if g.failed {
-            return false;
-        }
-        let mut line = terminal.to_vec();
-        line.push(b'\n');
-        if write_chunk(&mut g.stream, &line).is_err() || finish_chunked(&mut g.stream).is_err() {
-            g.failed = true;
-            return false;
-        }
-        true
-    }
-
-    fn has_failed(&self) -> bool {
-        self.inner.lock().expect("emitter lock").failed
-    }
 }
 
 /// A worker batch record the front parsed off a sub-batch stream.
@@ -733,8 +486,6 @@ fn sub_batch_body(req: &api::BatchRequest, pts: &[(u64, GridPoint)]) -> Vec<u8> 
 struct BatchProgress {
     /// Completed `(seq, point, cache_hit)` records, any order.
     completed: Mutex<Vec<(u64, DesignPoint, bool)>>,
-    /// Count of error records forwarded.
-    errors: AtomicUsize,
     /// Count of pruned records forwarded (pruned batches only).
     pruned: AtomicUsize,
 }
@@ -742,13 +493,18 @@ struct BatchProgress {
 /// Streams one worker sub-batch, forwarding records to the client
 /// emitter; returns the points that were *not* delivered (for
 /// re-dispatch after a worker death).
+///
+/// A record counts only when its seq belongs to this sub-batch and has
+/// not been delivered yet: a worker that streams back a foreign or a
+/// repeated seq cannot put a record on the client stream that the front
+/// never asked for, nor count one point twice.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_sub_batch(
     ctx: &FrontCtx,
     worker: usize,
     req: &api::BatchRequest,
     pts: Vec<(u64, GridPoint)>,
-    emitter: &SeqEmitter,
+    emitter: &NdjsonEmitter,
     progress: &BatchProgress,
     rank: &BTreeMap<u64, usize>,
     read_timeout: Duration,
@@ -756,45 +512,45 @@ fn dispatch_sub_batch(
     ctx.metrics.shard_request(&worker.to_string());
     let body = sub_batch_body(req, &pts);
     let addr = &ctx.config.workers[worker];
-    let stream = match send_upstream(addr, "POST", "/v1/batch", &body, read_timeout) {
-        Ok(s) => s,
-        Err(_) => {
-            ctx.mark_dead(worker);
-            return pts;
-        }
-    };
-    let mut reader = match ChunkedLineReader::start(stream) {
+    let reader = send_upstream(addr, "POST", "/v1/batch", &body, read_timeout)
+        .and_then(ChunkedLineReader::start);
+    let mut reader = match reader {
         Ok(r) => r,
         Err(_) => {
             ctx.mark_dead(worker);
             return pts;
         }
     };
+    // Undelivered seqs of this sub-batch, with their client-stream rank.
+    let mut pending: BTreeMap<u64, usize> = pts
+        .iter()
+        .filter_map(|(seq, _)| Some((*seq, *rank.get(seq)?)))
+        .collect();
     if reader.head.0 != 200 {
         // The worker rejected a sub-batch the front already validated:
         // a front/worker version skew, not a dead worker. Surface it as
         // error records rather than retrying forever.
-        for (seq, _) in &pts {
+        for (seq, at) in pending {
             ctx.metrics.batch_point(BatchOutcome::Error);
-            progress.errors.fetch_add(1, Ordering::SeqCst);
             let line = api::batch_error_record(
-                *seq,
+                seq,
                 "internal",
                 &format!("worker answered {}", reader.head.0),
                 None,
             );
-            emitter.push(rank[seq], line.render().into_bytes());
+            emitter.push(at, line.render().into_bytes());
         }
         return Vec::new();
     }
-    let mut delivered = std::collections::HashSet::new();
     loop {
         match reader.next_line() {
             Ok(Some(line)) => {
                 let Some(record) = parse_record(&line) else {
                     continue; // worker summary / terminal line: absorbed
                 };
-                delivered.insert(record.seq);
+                let Some(at) = pending.remove(&record.seq) else {
+                    continue; // foreign or already delivered: ignored
+                };
                 match record.outcome {
                     RecordOutcome::Point(dp, hit) => {
                         ctx.metrics.batch_point(if hit {
@@ -812,12 +568,9 @@ fn dispatch_sub_batch(
                         ctx.metrics.points_pruned(1);
                         progress.pruned.fetch_add(1, Ordering::SeqCst);
                     }
-                    RecordOutcome::Error => {
-                        ctx.metrics.batch_point(BatchOutcome::Error);
-                        progress.errors.fetch_add(1, Ordering::SeqCst);
-                    }
+                    RecordOutcome::Error => ctx.metrics.batch_point(BatchOutcome::Error),
                 }
-                emitter.push(rank[&record.seq], line.into_bytes());
+                emitter.push(at, line.into_bytes());
                 if emitter.has_failed() {
                     // Client gone: dropping the reader closes the worker
                     // connection, which cancels the worker-side batch.
@@ -829,47 +582,33 @@ fn dispatch_sub_batch(
                 // Worker died mid-stream: whatever it did not deliver
                 // re-hashes onto the survivors.
                 ctx.mark_dead(worker);
-                return pts
-                    .into_iter()
-                    .filter(|(seq, _)| !delivered.contains(seq))
-                    .collect();
+                break;
             }
         }
     }
-    // Clean end-of-stream: every point should have a record; anything
-    // missing is treated like a death for re-dispatch purposes.
+    // After a clean end-of-stream every point should have a record;
+    // anything missing is re-dispatched as if the worker had died.
     pts.into_iter()
-        .filter(|(seq, _)| !delivered.contains(seq))
+        .filter(|(seq, _)| pending.contains_key(seq))
         .collect()
 }
 
 /// `POST /v1/batch` on the front: expand, assign, fan out, merge.
 /// Returns the status for the metrics label (499 = client gone).
 fn front_batch(req: &Request, stream: &mut TcpStream, ctx: &FrontCtx) -> u16 {
-    let fail = |stream: &mut TcpStream, status: u16, msg: &str| {
-        let _ = error_response(status, msg, true).write_to(stream);
-        status
-    };
-    let body = match std::str::from_utf8(&req.body)
-        .map_err(|_| "body is not utf-8".to_string())
-        .and_then(|text| json::parse(text).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(msg) => return fail(stream, 400, &msg),
-    };
-    let parsed = match api::BatchRequest::from_json(&body) {
+    let parsed = match parse_body(req, api::BatchRequest::from_json) {
         Ok(p) => p,
-        Err(e) => return fail(stream, 422, &e.0),
+        Err((status, msg)) => return write_error(stream, status, &msg),
     };
     if hls_lang::is_system_source(&parsed.source) {
-        return fail(stream, 422, "batch does not accept system sources");
+        return write_error(stream, 422, "batch does not accept system sources");
     }
     let behavior_fp = match hls_lang::compile(&parsed.source) {
         Ok(cdfg) => cdfg_fingerprint(&cdfg),
-        Err(e) => return fail(stream, 422, &format!("parse: {e}")),
+        Err(e) => return write_error(stream, 422, &format!("parse: {e}")),
     };
     let Ok(out) = stream.try_clone() else {
-        return fail(stream, 500, "connection unavailable");
+        return write_error(stream, 500, "connection unavailable");
     };
     if start_chunked(stream, 200, "application/x-ndjson", &[]).is_err() {
         return 499;
@@ -882,10 +621,9 @@ fn front_batch(req: &Request, stream: &mut TcpStream, ctx: &FrontCtx) -> u16 {
         seqs.sort_unstable();
         seqs.into_iter().enumerate().map(|(i, s)| (s, i)).collect()
     };
-    let emitter = SeqEmitter::new(out);
+    let emitter = NdjsonEmitter::new(out, CancelToken::new());
     let progress = BatchProgress {
         completed: Mutex::new(Vec::new()),
-        errors: AtomicUsize::new(0),
         pruned: AtomicUsize::new(0),
     };
     let read_timeout = parsed
@@ -949,7 +687,6 @@ fn front_batch(req: &Request, stream: &mut TcpStream, ctx: &FrontCtx) -> u16 {
     // every seq is accounted for and the stream stays well-formed.
     for (seq, _) in &todo {
         ctx.metrics.batch_point(BatchOutcome::Error);
-        progress.errors.fetch_add(1, Ordering::SeqCst);
         let line = api::batch_error_record(*seq, "upstream_unavailable", "no live worker", None);
         emitter.push(rank[seq], line.render().into_bytes());
     }
@@ -957,20 +694,11 @@ fn front_batch(req: &Request, stream: &mut TcpStream, ctx: &FrontCtx) -> u16 {
         ctx.metrics.batch_cancelled();
         return 499;
     }
-    let mut completed = progress.completed.into_inner().expect("progress lock");
-    completed.sort_by_key(|(seq, _, _)| *seq);
-    let ok = completed.len();
-    let hits = completed.iter().filter(|(_, _, hit)| *hit).count();
-    let pts: Vec<DesignPoint> = completed.into_iter().map(|(_, dp, _)| dp).collect();
-    let summary = if parsed.prune {
-        let pruned = progress.pruned.load(Ordering::SeqCst);
-        let errors = n.saturating_sub(ok).saturating_sub(pruned);
-        api::batch_summary_pruned(n, ok, errors, hits, pruned, &pts)
-    } else {
-        api::batch_summary(n, ok, n - ok, hits, &pts)
-    }
-    .render()
-    .into_bytes();
+    let completed = progress.completed.into_inner().expect("progress lock");
+    let pruned = parsed.prune.then(|| progress.pruned.load(Ordering::SeqCst));
+    let summary = api::batch_summary(n, completed, pruned)
+        .render()
+        .into_bytes();
     if !emitter.finish(&summary) {
         ctx.metrics.batch_cancelled();
         return 499;

@@ -16,17 +16,11 @@
 use crate::ServerHandle;
 
 /// Installs handlers for SIGTERM and SIGINT that gracefully drain the
-/// server behind `handle`. Returns `true` when the handlers are in
-/// place, `false` when the platform (or pipe creation) does not
+/// worker or front behind `handle`. Returns `true` when the handlers are
+/// in place, `false` when the platform (or pipe creation) does not
 /// cooperate.
 pub fn drain_on_termination(handle: ServerHandle) -> bool {
     imp::install(Box::new(move || handle.shutdown()))
-}
-
-/// [`drain_on_termination`] for any shutdown action — used by the shard
-/// front, whose handle type differs from the worker's.
-pub fn drain_on_termination_with(shutdown: impl FnOnce() + Send + 'static) -> bool {
-    imp::install(Box::new(shutdown))
 }
 
 #[cfg(unix)]

@@ -1,12 +1,13 @@
 //! End-to-end tests for the shard front: a real front listener over
 //! real workers — in-process [`hls_serve::Server`] instances for the
-//! routing/affinity tests, and actual `hls-serve` child processes for
-//! the worker-kill test (only a killed *process* exercises the
-//! dead-worker re-hash the way production does).
+//! routing/affinity tests, actual `hls-serve` child processes for the
+//! worker-kill test (only a killed *process* exercises the dead-worker
+//! re-hash the way production does), and scripted fake workers for
+//! malformed sub-batch streams.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::time::Duration;
 
@@ -16,7 +17,7 @@ use hls_serve::{Server, ServerConfig, ServerHandle};
 /// A front over in-process workers, all driven by test threads.
 struct Cluster {
     front_addr: SocketAddr,
-    front: hls_serve::shard::FrontHandle,
+    front: ServerHandle,
     workers: Vec<ServerHandle>,
     runners: Vec<std::thread::JoinHandle<std::io::Result<()>>>,
 }
@@ -149,15 +150,13 @@ fn front_proxies_routes_and_aggregates_health() {
     let cluster = Cluster::start(2, ServerConfig::default());
 
     // A synthesize request proxied through the front behaves exactly
-    // like one against a worker, v1 and legacy alike.
+    // like one against a worker.
     let body = synthesize_body(hls_workloads::sources::SQRT, 2);
     let v1 = post(cluster.front_addr, "/v1/synthesize", &body);
     assert_eq!(v1.status, 200, "body: {}", v1.body);
     assert!(v1.body.starts_with("{\"cache_hit\":false,"), "{}", v1.body);
-    assert!(
-        !v1.headers.contains_key("deprecation"),
-        "v1 proxied response must not be deprecated"
-    );
+    let names: Vec<&str> = v1.headers.keys().map(String::as_str).collect();
+    assert_eq!(names, ["connection", "content-length", "content-type"]);
 
     // Cache affinity: the repeat routes to the same worker and hits.
     let again = post(cluster.front_addr, "/v1/synthesize", &body);
@@ -165,19 +164,6 @@ fn front_proxies_routes_and_aggregates_health() {
         again.body.starts_with("{\"cache_hit\":true,"),
         "repeat must hit the owning worker's cache: {}",
         again.body
-    );
-
-    // The legacy path keeps the worker's Deprecation marker end-to-end.
-    let legacy = post(cluster.front_addr, "/synthesize", &body);
-    assert_eq!(legacy.status, 200);
-    assert_eq!(
-        legacy.headers.get("deprecation").map(String::as_str),
-        Some("true")
-    );
-    assert_eq!(
-        legacy.headers.get("x-hls-cache").map(String::as_str),
-        Some("hit"),
-        "legacy and v1 share the worker cache"
     );
 
     // Health aggregation across both workers.
@@ -203,9 +189,48 @@ fn front_proxies_routes_and_aggregates_health() {
         .filter_map(|l| l.split("} ").nth(1))
         .filter_map(|v| v.trim().parse::<u64>().ok())
         .sum();
-    assert_eq!(routed, 3, "three proxied requests: {}", metrics.body);
+    assert_eq!(routed, 2, "two proxied requests: {}", metrics.body);
 
-    assert_eq!(get(cluster.front_addr, "/v1/nowhere").status, 404);
+    // One route table and one error envelope, as on a worker.
+    let not_found = |reply: &Reply, what: &str| {
+        assert_eq!(reply.status, 404, "{what}: {}", reply.body);
+        assert!(
+            reply.body.starts_with(r#"{"error":{"code":"not_found""#),
+            "{what}: {}",
+            reply.body
+        );
+    };
+    not_found(&get(cluster.front_addr, "/v1/nowhere"), "GET /v1/nowhere");
+    for path in ["/synthesize", "/explore", "/batch"] {
+        not_found(&post(cluster.front_addr, path, &body), path);
+    }
+    for path in ["/healthz", "/metrics"] {
+        not_found(&get(cluster.front_addr, path), path);
+    }
+    let too_large = roundtrip(
+        cluster.front_addr,
+        "POST /v1/synthesize HTTP/1.1\r\nHost: t\r\nContent-Length: 2000000\r\n\r\n",
+    );
+    assert_eq!(too_large.status, 413, "body: {}", too_large.body);
+    assert!(
+        too_large
+            .body
+            .starts_with(r#"{"error":{"code":"payload_too_large""#),
+        "{}",
+        too_large.body
+    );
+    let bad_version = roundtrip(
+        cluster.front_addr,
+        "GET /v1/healthz HTTP/2.0\r\nHost: t\r\n\r\n",
+    );
+    assert_eq!(bad_version.status, 400, "body: {}", bad_version.body);
+    assert!(
+        bad_version
+            .body
+            .starts_with(r#"{"error":{"code":"bad_request""#),
+        "{}",
+        bad_version.body
+    );
     cluster.stop();
 }
 
@@ -425,4 +450,104 @@ fn front_batch_passes_the_prune_flag_through() {
         lines[8]
     );
     cluster.stop();
+}
+
+/// Sends a two-point batch (seqs 0 and 1) through a front whose only
+/// worker is a scripted stand-in that answers every sub-batch with the
+/// same NDJSON `script`, and checks that every requested seq comes back
+/// exactly once and that the summary counts add up.
+fn two_point_batch_through(script: &'static [&'static str]) -> (Vec<String>, String) {
+    let fake = TcpListener::bind("127.0.0.1:0").expect("bind fake worker");
+    let worker = fake.local_addr().expect("fake worker addr");
+    // Serves until a connection closes without sending a request.
+    let fake = std::thread::spawn(move || {
+        for stream in fake.incoming() {
+            let Ok(mut stream) = stream else { return };
+            if hls_serve::http::read_request(&mut stream).is_err() {
+                return;
+            }
+            let _ = hls_serve::http::start_chunked(&mut stream, 200, "application/x-ndjson", &[]);
+            for line in script {
+                let _ = hls_serve::http::write_chunk(&mut stream, format!("{line}\n").as_bytes());
+            }
+            let _ = hls_serve::http::finish_chunked(&mut stream);
+        }
+    });
+    let front = Front::bind(FrontConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: vec![worker.to_string()],
+        threads: 2,
+        queue: 32,
+        deadline: Duration::from_secs(30),
+        retry_after_ms: 1000,
+    })
+    .expect("bind front");
+    let front_addr = front.local_addr();
+    let handle = front.handle();
+    let runner = std::thread::spawn(move || front.run());
+    let body = format!(
+        r#"{{"source":{:?},"points":[{{"seq":0,"fus":1}},{{"seq":1,"fus":2}}]}}"#,
+        hls_workloads::sources::SQRT
+    );
+    let (status, mut lines) = post_ndjson(front_addr, &body);
+    handle.shutdown();
+    runner.join().expect("front thread").expect("front run");
+    drop(TcpStream::connect(worker));
+    fake.join().expect("fake worker thread");
+    assert_eq!(status, 200, "{lines:?}");
+    let summary = lines.pop().expect("summary line");
+    for seq in [0, 1] {
+        let prefix = format!("{{\"seq\":{seq},");
+        assert_eq!(
+            lines.iter().filter(|l| l.starts_with(&prefix)).count(),
+            1,
+            "seq {seq} must appear exactly once: {lines:?}"
+        );
+    }
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    let count = |key: &str| -> u64 {
+        let at = summary
+            .find(&format!("\"{key}\":"))
+            .unwrap_or_else(|| panic!("no {key} in {summary}"))
+            + key.len()
+            + 3;
+        summary[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect::<String>()
+            .parse()
+            .expect("count")
+    };
+    assert_eq!(count("points"), 2, "{summary}");
+    assert_eq!(count("ok") + count("errors"), 2, "{summary}");
+    (lines, summary)
+}
+
+const POINT_0: &str = r#"{"seq":0,"cache_hit":false,"point":{"fus":1,"algorithm":"list/path","control":"hardwired/binary"},"result":{"latency":23,"area":100,"registers":3,"mux_inputs":4}}"#;
+const POINT_1: &str = r#"{"seq":1,"cache_hit":false,"point":{"fus":2,"algorithm":"list/path","control":"hardwired/binary"},"result":{"latency":10,"area":200,"registers":3,"mux_inputs":4}}"#;
+
+#[test]
+fn front_ignores_a_seq_it_never_sent() {
+    let (lines, summary) = two_point_batch_through(&[
+        r#"{"seq":99,"cache_hit":false,"point":{"fus":1,"algorithm":"asap","control":"hardwired/binary"},"result":{"latency":5,"area":1,"registers":1,"mux_inputs":1}}"#,
+        r#"{"summary":{"points":1,"ok":1,"errors":0,"cache_hits":0,"pareto":[]}}"#,
+    ]);
+    // The worker never answered either point the front sent it, so both
+    // end as error records once the dispatch rounds run out.
+    for line in &lines {
+        assert!(line.contains("\"error\":"), "{line}");
+    }
+    assert!(summary.contains("\"ok\":0,\"errors\":2"), "{summary}");
+}
+
+#[test]
+fn front_counts_a_repeated_record_once() {
+    let (lines, summary) = two_point_batch_through(&[
+        POINT_0,
+        POINT_0,
+        POINT_1,
+        r#"{"summary":{"points":2,"ok":3,"errors":0,"cache_hits":0,"pareto":[]}}"#,
+    ]);
+    assert_eq!(lines, [POINT_0, POINT_1]);
+    assert!(summary.contains("\"ok\":2,\"errors\":0"), "{summary}");
 }

@@ -118,6 +118,23 @@ fn synthesize_body(source: &str, fus: u32) -> String {
     format!(r#"{{"source":{source:?},"config":{{"fus":{fus},"algorithm":"list/path"}}}}"#)
 }
 
+/// The served `cache_hit` flag: `Some(hit)` when the body leads with it.
+fn cache_hit(reply: &Reply) -> Option<bool> {
+    if reply.body.starts_with("{\"cache_hit\":true,") {
+        Some(true)
+    } else if reply.body.starts_with("{\"cache_hit\":false,") {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// Strips the volatile `cache_hit` flag so warm/cold bodies compare.
+fn mask_cache_hit(s: &str) -> String {
+    s.replace("\"cache_hit\":true", "\"cache_hit\":_")
+        .replace("\"cache_hit\":false", "\"cache_hit\":_")
+}
+
 #[test]
 fn golden_synthesize_with_cache_roundtrip() {
     let server = TestServer::start(ServerConfig {
@@ -126,12 +143,9 @@ fn golden_synthesize_with_cache_roundtrip() {
     });
     let body = synthesize_body(hls_workloads::sources::SQRT, 2);
 
-    let first = post(server.addr, "/synthesize", &body);
+    let first = post(server.addr, "/v1/synthesize", &body);
     assert_eq!(first.status, 200, "body: {}", first.body);
-    assert_eq!(
-        first.headers.get("x-hls-cache").map(String::as_str),
-        Some("miss")
-    );
+    assert_eq!(cache_hit(&first), Some(false), "{}", first.body);
     // The paper's optimized SQRT schedule: 10 control steps on 2 FUs.
     assert!(
         first.body.contains("\"latency\":10"),
@@ -140,20 +154,18 @@ fn golden_synthesize_with_cache_roundtrip() {
     );
     assert!(first.body.contains("\"fingerprints\":"), "{}", first.body);
 
-    let second = post(server.addr, "/synthesize", &body);
+    let second = post(server.addr, "/v1/synthesize", &body);
     assert_eq!(second.status, 200);
+    assert_eq!(cache_hit(&second), Some(true), "{}", second.body);
     assert_eq!(
-        second.headers.get("x-hls-cache").map(String::as_str),
-        Some("hit")
-    );
-    assert_eq!(
-        first.body, second.body,
+        mask_cache_hit(&first.body),
+        mask_cache_hit(&second.body),
         "cache must serve byte-exact repeats"
     );
 
     // The miss ran the real pipeline, so every stage counter is nonzero;
-    // timings live only in /metrics, never in response bodies.
-    let metrics = get(server.addr, "/metrics");
+    // timings live only in /v1/metrics, never in response bodies.
+    let metrics = get(server.addr, "/v1/metrics");
     for stage in ["schedule", "alloc", "control", "rtl"] {
         let needle = format!("hls_serve_stage_seconds_total{{stage=\"{stage}\"}} ");
         let seconds: f64 = metrics
@@ -184,7 +196,7 @@ fn concurrent_clients_get_byte_identical_responses() {
         .map(|_| {
             let addr = server.addr;
             let body = body.clone();
-            std::thread::spawn(move || post(addr, "/synthesize", &body))
+            std::thread::spawn(move || post(addr, "/v1/synthesize", &body))
         })
         .collect();
     let replies: Vec<Reply> = clients
@@ -193,10 +205,7 @@ fn concurrent_clients_get_byte_identical_responses() {
         .collect();
     for reply in &replies {
         assert_eq!(reply.status, 200, "body: {}", reply.body);
-        assert_eq!(
-            reply.headers.get("x-hls-cache").map(String::as_str),
-            Some("miss")
-        );
+        assert_eq!(cache_hit(reply), Some(false), "{}", reply.body);
         assert_eq!(
             reply.body, replies[0].body,
             "all clients must agree byte-for-byte"
@@ -215,16 +224,14 @@ fn explore_sweeps_the_grid_and_caches() {
         r#"{{"source":{:?},"grid":{{"fus":[1,2],"algorithms":["asap","list/path"]}}}}"#,
         hls_workloads::sources::SQRT
     );
-    let first = post(server.addr, "/explore", &body);
+    let first = post(server.addr, "/v1/explore", &body);
     assert_eq!(first.status, 200, "body: {}", first.body);
+    assert_eq!(cache_hit(&first), Some(false), "{}", first.body);
     assert!(first.body.contains("\"points\":"), "{}", first.body);
     assert!(first.body.contains("\"pareto\":"), "{}", first.body);
-    let second = post(server.addr, "/explore", &body);
-    assert_eq!(
-        second.headers.get("x-hls-cache").map(String::as_str),
-        Some("hit")
-    );
-    assert_eq!(first.body, second.body);
+    let second = post(server.addr, "/v1/explore", &body);
+    assert_eq!(cache_hit(&second), Some(true), "{}", second.body);
+    assert_eq!(mask_cache_hit(&first.body), mask_cache_hit(&second.body));
     server.stop();
 }
 
@@ -243,13 +250,13 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
         hls_workloads::sources::SQRT
     );
     let addr = server.addr;
-    let slow = std::thread::spawn(move || post(addr, "/synthesize", &slow_body));
+    let slow = std::thread::spawn(move || post(addr, "/v1/synthesize", &slow_body));
     // Give the slow request time to be admitted.
     std::thread::sleep(Duration::from_millis(150));
 
     let shed = post(
         server.addr,
-        "/synthesize",
+        "/v1/synthesize",
         &synthesize_body(hls_workloads::sources::GCD, 2),
     );
     assert_eq!(
@@ -261,7 +268,11 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
         shed.headers.get("retry-after").map(String::as_str),
         Some("1")
     );
-    assert!(shed.body.contains("overloaded"), "{}", shed.body);
+    assert!(
+        shed.body.starts_with(r#"{"error":{"code":"overloaded""#),
+        "{}",
+        shed.body
+    );
 
     let slow_reply = slow.join().expect("slow client");
     assert_eq!(slow_reply.status, 200, "admitted request must still finish");
@@ -272,13 +283,13 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
     let retry = retry_until_ok(|| {
         post(
             server.addr,
-            "/synthesize",
+            "/v1/synthesize",
             &synthesize_body(hls_workloads::sources::GCD, 2),
         )
     });
     assert_eq!(retry.status, 200, "body: {}", retry.body);
 
-    let metrics = retry_until_ok(|| get(server.addr, "/metrics"));
+    let metrics = retry_until_ok(|| get(server.addr, "/v1/metrics"));
     let shed_count: u64 = metrics
         .body
         .lines()
@@ -301,7 +312,7 @@ fn shutdown_drains_inflight_requests() {
         hls_workloads::sources::DIFFEQ
     );
     let addr = server.addr;
-    let inflight = std::thread::spawn(move || post(addr, "/synthesize", &body));
+    let inflight = std::thread::spawn(move || post(addr, "/v1/synthesize", &body));
     std::thread::sleep(Duration::from_millis(100));
 
     // stop() returns only after run() does, and run() returns only after
@@ -313,27 +324,6 @@ fn shutdown_drains_inflight_requests() {
         "drain must finish admitted work: {}",
         reply.body
     );
-}
-
-#[test]
-fn request_deadline_yields_504_with_partial_progress() {
-    // The test hold runs after the deadline clock starts, so a 1 ms
-    // deadline is deterministically blown before the pipeline begins.
-    let server = TestServer::start(ServerConfig {
-        threads: 1,
-        cache_capacity: 0,
-        allow_test_delay: true,
-        ..ServerConfig::default()
-    });
-    let body = format!(
-        r#"{{"source":{:?},"config":{{"fus":2}},"deadline_ms":1,"test_delay_ms":50}}"#,
-        hls_workloads::sources::SQRT
-    );
-    let reply = post(server.addr, "/synthesize", &body);
-    assert_eq!(reply.status, 504, "body: {}", reply.body);
-    assert!(reply.body.contains("deadline exceeded"), "{}", reply.body);
-    assert!(reply.body.contains("completed_stage"), "{}", reply.body);
-    server.stop();
 }
 
 #[test]
@@ -351,15 +341,20 @@ fn injected_panic_yields_500_and_server_survives() {
         r#"{{"source":{:?},"config":{{"fus":2}},"test_panic":true}}"#,
         hls_workloads::sources::SQRT
     );
-    let reply = post(server.addr, "/synthesize", &body);
+    let reply = post(server.addr, "/v1/synthesize", &body);
     assert_eq!(reply.status, 500, "body: {}", reply.body);
+    assert!(
+        reply.body.starts_with(r#"{"error":{"code":"internal""#),
+        "{}",
+        reply.body
+    );
     assert!(reply.body.contains("internal error"), "{}", reply.body);
     assert!(reply.body.contains("test-injected"), "{}", reply.body);
 
     // The worker is alive and the in-flight slot was released.
     let after = post(
         server.addr,
-        "/synthesize",
+        "/v1/synthesize",
         &synthesize_body(hls_workloads::sources::GCD, 2),
     );
     assert_eq!(
@@ -368,7 +363,7 @@ fn injected_panic_yields_500_and_server_survives() {
         after.body
     );
 
-    let metrics = get(server.addr, "/metrics");
+    let metrics = get(server.addr, "/v1/metrics");
     let panics: u64 = metrics
         .body
         .lines()
@@ -385,53 +380,13 @@ fn injected_panic_yields_500_and_server_survives() {
         cache_capacity: 0,
         ..ServerConfig::default()
     });
-    let reply = post(hardened.addr, "/synthesize", &body);
+    let reply = post(hardened.addr, "/v1/synthesize", &body);
     assert_eq!(
         reply.status, 200,
         "test_panic must be inert in production config: {}",
         reply.body
     );
     hardened.stop();
-}
-
-#[test]
-fn error_paths_have_correct_statuses() {
-    let server = TestServer::start(ServerConfig::default());
-    assert_eq!(get(server.addr, "/healthz").status, 200);
-    assert_eq!(get(server.addr, "/no-such-endpoint").status, 404);
-    assert_eq!(get(server.addr, "/synthesize").status, 405);
-    assert_eq!(post(server.addr, "/synthesize", "{not json").status, 400);
-    assert_eq!(
-        post(server.addr, "/synthesize", r#"{"config":{}}"#).status,
-        422,
-        "missing source must be a semantic error"
-    );
-    assert_eq!(
-        post(
-            server.addr,
-            "/synthesize",
-            r#"{"source":"x = 1;","config":{"fus":2,"wat":true}}"#
-        )
-        .status,
-        422,
-        "unknown config keys must be rejected"
-    );
-
-    let metrics = get(server.addr, "/metrics");
-    assert_eq!(metrics.status, 200);
-    for needle in [
-        "hls_requests_total{endpoint=\"healthz\",status=\"200\"}",
-        "hls_requests_total{endpoint=\"unknown\",status=\"404\"}",
-        "hls_request_duration_seconds_bucket",
-        "hls_queue_depth_high_water",
-    ] {
-        assert!(
-            metrics.body.contains(needle),
-            "missing {needle} in: {}",
-            metrics.body
-        );
-    }
-    server.stop();
 }
 
 #[test]
@@ -445,12 +400,9 @@ fn system_source_synthesizes_processes_and_interconnect() {
         hls_workloads::sources::PIPE3
     );
 
-    let first = post(server.addr, "/synthesize", &body);
+    let first = post(server.addr, "/v1/synthesize", &body);
     assert_eq!(first.status, 200, "body: {}", first.body);
-    assert_eq!(
-        first.headers.get("x-hls-cache").map(String::as_str),
-        Some("miss")
-    );
+    assert_eq!(cache_hit(&first), Some(false), "{}", first.body);
     assert!(first.body.contains(r#""system":"pipe3""#), "{}", first.body);
     // One metrics block per process, plus the elaborated top module and
     // its rendezvous interconnect in the returned Verilog.
@@ -458,26 +410,31 @@ fn system_source_synthesizes_processes_and_interconnect() {
     assert!(first.body.contains("module pipe3"), "{}", first.body);
     assert!(first.body.contains("hs_channel"), "{}", first.body);
 
-    let second = post(server.addr, "/synthesize", &body);
+    let second = post(server.addr, "/v1/synthesize", &body);
     assert_eq!(second.status, 200);
+    assert_eq!(cache_hit(&second), Some(true), "{}", second.body);
     assert_eq!(
-        second.headers.get("x-hls-cache").map(String::as_str),
-        Some("hit")
-    );
-    assert_eq!(
-        first.body, second.body,
+        mask_cache_hit(&first.body),
+        mask_cache_hit(&second.body),
         "cached body must be byte-identical"
     );
 
     let explore = post(
         server.addr,
-        "/explore",
+        "/v1/explore",
         &format!(
             r#"{{"source":{:?},"grid":{{}}}}"#,
             hls_workloads::sources::PIPE3
         ),
     );
     assert_eq!(explore.status, 422, "{}", explore.body);
+    assert!(
+        explore
+            .body
+            .starts_with(r#"{"error":{"code":"unprocessable""#),
+        "{}",
+        explore.body
+    );
     server.stop();
 }
 
@@ -497,12 +454,9 @@ fn system_cache_distinguishes_channel_depth_and_reports_deadlock_verdict() {
     };
     let body = |chan_decl: &str| format!(r#"{{"source":{:?}}}"#, src(chan_decl));
 
-    let rendezvous = post(server.addr, "/synthesize", &body("chan c;"));
+    let rendezvous = post(server.addr, "/v1/synthesize", &body("chan c;"));
     assert_eq!(rendezvous.status, 200, "body: {}", rendezvous.body);
-    assert_eq!(
-        rendezvous.headers.get("x-hls-cache").map(String::as_str),
-        Some("miss")
-    );
+    assert_eq!(cache_hit(&rendezvous), Some(false), "{}", rendezvous.body);
     // The acyclic two-stage pipeline is statically proven live.
     assert!(
         rendezvous.body.contains(r#""deadlock":{"verdict":"free"}"#),
@@ -512,21 +466,22 @@ fn system_cache_distinguishes_channel_depth_and_reports_deadlock_verdict() {
 
     // Same system, but the channel is now a depth-2 FIFO. The response
     // must be freshly synthesized, not served from the rendezvous entry.
-    let buffered = post(server.addr, "/synthesize", &body("chan c : fix[2];"));
+    let buffered = post(server.addr, "/v1/synthesize", &body("chan c : fix[2];"));
     assert_eq!(buffered.status, 200, "body: {}", buffered.body);
     assert_eq!(
-        buffered.headers.get("x-hls-cache").map(String::as_str),
-        Some("miss"),
-        "depth-2 FIFO system must not hit the rendezvous cache entry"
+        cache_hit(&buffered),
+        Some(false),
+        "depth-2 FIFO system must not hit the rendezvous cache entry: {}",
+        buffered.body
     );
 
     // And the original still hits its own entry afterwards.
-    let again = post(server.addr, "/synthesize", &body("chan c;"));
+    let again = post(server.addr, "/v1/synthesize", &body("chan c;"));
+    assert_eq!(cache_hit(&again), Some(true), "{}", again.body);
     assert_eq!(
-        again.headers.get("x-hls-cache").map(String::as_str),
-        Some("hit")
+        mask_cache_hit(&rendezvous.body),
+        mask_cache_hit(&again.body)
     );
-    assert_eq!(rendezvous.body, again.body);
     server.stop();
 }
 
@@ -566,12 +521,6 @@ fn batch_body(source: &str) -> String {
     format!(r#"{{"source":{source:?},"grid":{{"fus":[1,2],"algorithms":["asap","list/path"]}}}}"#)
 }
 
-/// Strips the volatile `cache_hit` flag so warm/cold bodies compare.
-fn mask_cache_hit(s: &str) -> String {
-    s.replace("\"cache_hit\":true", "\"cache_hit\":_")
-        .replace("\"cache_hit\":false", "\"cache_hit\":_")
-}
-
 #[test]
 fn v1_synthesize_carries_cache_hit_and_no_deprecation() {
     let server = TestServer::start(ServerConfig {
@@ -580,52 +529,28 @@ fn v1_synthesize_carries_cache_hit_and_no_deprecation() {
     });
     let body = synthesize_body(hls_workloads::sources::SQRT, 2);
 
-    let legacy = post(server.addr, "/synthesize", &body);
-    assert_eq!(legacy.status, 200, "body: {}", legacy.body);
-    assert_eq!(
-        legacy.headers.get("deprecation").map(String::as_str),
-        Some("true"),
-        "legacy path must be marked deprecated"
-    );
-    assert!(
-        !legacy.body.contains("cache_hit"),
-        "legacy body shape must not change: {}",
-        legacy.body
-    );
-
     let v1 = post(server.addr, "/v1/synthesize", &body);
     assert_eq!(v1.status, 200, "body: {}", v1.body);
     assert!(
-        !v1.headers.contains_key("deprecation"),
-        "v1 must not carry Deprecation"
-    );
-    assert!(
-        v1.body.starts_with("{\"cache_hit\":"),
+        v1.body.starts_with("{\"cache_hit\":false,"),
         "v1 body leads with the hit flag: {}",
         v1.body
     );
-    // Same request was already cached by the legacy call: v1 and legacy
-    // share the synthesis cache (the flag is spliced per-surface).
-    assert!(v1.body.starts_with("{\"cache_hit\":true,"), "{}", v1.body);
-    assert_eq!(
-        format!("{{\"cache_hit\":true,{}", &legacy.body[1..]),
-        v1.body,
-        "v1 body = legacy body + spliced flag"
-    );
+    // The body is the only cache-hit surface: the head carries just the
+    // content type and the framing headers.
+    let names: Vec<&str> = v1.headers.keys().map(String::as_str).collect();
+    assert_eq!(names, ["connection", "content-length", "content-type"]);
 
-    // Golden byte-identity: two v1 repeats agree exactly.
-    let again = post(server.addr, "/v1/synthesize", &body);
-    assert_eq!(again.body, v1.body);
-
-    // The deprecated counter saw the legacy call only.
-    let metrics = get(server.addr, "/v1/metrics");
+    // Golden byte-identity: two warm repeats agree exactly.
+    let warm = post(server.addr, "/v1/synthesize", &body);
     assert!(
-        metrics
-            .body
-            .contains("hls_serve_deprecated_requests_total{endpoint=\"synthesize\"} 1"),
-        "metrics: {}",
-        metrics.body
+        warm.body.starts_with("{\"cache_hit\":true,"),
+        "{}",
+        warm.body
     );
+    let again = post(server.addr, "/v1/synthesize", &body);
+    assert_eq!(again.body, warm.body);
+    assert_eq!(again.headers, warm.headers);
     server.stop();
 }
 
@@ -655,6 +580,20 @@ fn v1_errors_use_the_envelope() {
         missing.body
     );
 
+    let unknown_key = post(
+        server.addr,
+        "/v1/synthesize",
+        r#"{"source":"x = 1;","config":{"fus":2,"wat":true}}"#,
+    );
+    assert_eq!(unknown_key.status, 422, "unknown config keys are rejected");
+    assert!(
+        unknown_key
+            .body
+            .starts_with(r#"{"error":{"code":"unprocessable""#),
+        "{}",
+        unknown_key.body
+    );
+
     let nowhere = get(server.addr, "/v1/nowhere");
     assert_eq!(nowhere.status, 404);
     assert!(
@@ -662,6 +601,26 @@ fn v1_errors_use_the_envelope() {
         "{}",
         nowhere.body
     );
+    // Unversioned paths are not routes.
+    for path in ["/synthesize", "/explore", "/batch"] {
+        let reply = post(server.addr, path, "{}");
+        assert_eq!(reply.status, 404, "POST {path}: {}", reply.body);
+        assert!(
+            reply.body.starts_with(r#"{"error":{"code":"not_found""#),
+            "POST {path}: {}",
+            reply.body
+        );
+    }
+    for path in ["/healthz", "/metrics"] {
+        let reply = get(server.addr, path);
+        assert_eq!(reply.status, 404, "GET {path}: {}", reply.body);
+        assert!(
+            reply.body.starts_with(r#"{"error":{"code":"not_found""#),
+            "GET {path}: {}",
+            reply.body
+        );
+    }
+    assert_eq!(get(server.addr, "/v1/healthz").status, 200);
 
     let wrong_method = get(server.addr, "/v1/synthesize");
     assert_eq!(wrong_method.status, 405);
@@ -690,6 +649,45 @@ fn v1_errors_use_the_envelope() {
         late.body
     );
     assert!(late.body.contains(r#""stage":"#), "{}", late.body);
+
+    // Errors before routing use the envelope too.
+    let too_large = roundtrip(
+        server.addr,
+        "POST /v1/synthesize HTTP/1.1\r\nHost: t\r\nContent-Length: 2000000\r\n\r\n",
+    );
+    assert_eq!(too_large.status, 413, "body: {}", too_large.body);
+    assert!(
+        too_large
+            .body
+            .starts_with(r#"{"error":{"code":"payload_too_large""#),
+        "{}",
+        too_large.body
+    );
+    let bad_version = roundtrip(server.addr, "GET /v1/healthz HTTP/2.0\r\nHost: t\r\n\r\n");
+    assert_eq!(bad_version.status, 400, "body: {}", bad_version.body);
+    assert!(
+        bad_version
+            .body
+            .starts_with(r#"{"error":{"code":"bad_request""#),
+        "{}",
+        bad_version.body
+    );
+
+    let metrics = get(server.addr, "/v1/metrics");
+    assert_eq!(metrics.status, 200);
+    for needle in [
+        "hls_requests_total{endpoint=\"healthz\",status=\"200\"}",
+        "hls_requests_total{endpoint=\"unknown\",status=\"404\"}",
+        "hls_requests_total{endpoint=\"unknown\",status=\"413\"}",
+        "hls_request_duration_seconds_bucket",
+        "hls_queue_depth_high_water",
+    ] {
+        assert!(
+            metrics.body.contains(needle),
+            "missing {needle} in: {}",
+            metrics.body
+        );
+    }
     server.stop();
 }
 
@@ -707,7 +705,7 @@ fn v1_shed_reports_retry_after_in_both_units() {
         hls_workloads::sources::SQRT
     );
     let addr = server.addr;
-    let slow = std::thread::spawn(move || post(addr, "/synthesize", &slow_body));
+    let slow = std::thread::spawn(move || post(addr, "/v1/synthesize", &slow_body));
     std::thread::sleep(Duration::from_millis(150));
 
     let shed = post(
@@ -896,7 +894,7 @@ fn batch_client_disconnect_cancels_the_batch() {
     // and counts the cancellation.
     let mut cancelled = 0u64;
     for _ in 0..100 {
-        let metrics = get(server.addr, "/metrics");
+        let metrics = get(server.addr, "/v1/metrics");
         cancelled = metrics
             .body
             .lines()
@@ -944,8 +942,8 @@ fn batch_rejects_bad_requests_before_streaming() {
     );
     assert_eq!(dup.status, 422, "duplicate seqs: {}", dup.body);
 
-    let legacy = post(server.addr, "/batch", r#"{}"#);
-    assert_eq!(legacy.status, 404, "batch is v1-only: {}", legacy.body);
+    let unversioned = post(server.addr, "/batch", r#"{}"#);
+    assert_eq!(unversioned.status, 404, "{}", unversioned.body);
     server.stop();
 }
 

@@ -61,14 +61,14 @@ fn main() {
     );
     let tuned = format!(r#"{{"source":{source:?},"config":{{"fus":2,"algorithm":"list/path"}}}}"#);
 
-    let (status, body) = post(addr, "/synthesize", &naive);
+    let (status, body) = post(addr, "/v1/synthesize", &naive);
     assert_eq!(status, 200, "naive synthesis failed: {body}");
     println!(
         "diffeq, 1 FU, unoptimized: {} control steps",
         field_u64(&body, "latency")
     );
 
-    let (status, body) = post(addr, "/synthesize", &tuned);
+    let (status, body) = post(addr, "/v1/synthesize", &tuned);
     assert_eq!(status, 200, "tuned synthesis failed: {body}");
     println!(
         "diffeq, 2 FUs, optimized:  {} control steps, {} FSM states",
