@@ -13,6 +13,13 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> benchmark harness build + smoke (e2ebench, its own workspace)"
+# e2ebench calls the library's public flow (build_datapath, build_fsm,
+# hardwired_logic, microcode, SynthesisResult by struct literal); its
+# --smoke test runs every workload, traced and untraced, with the output
+# checks, so an API break shows here rather than only in benchmark runs.
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -15,8 +15,9 @@ use hls_sched::{OpClassifier, Schedule};
 use crate::fu::FuAllocation;
 use crate::registers::RegisterAllocation;
 
-/// Where a datapath operand comes from. Two equal sources share a wire;
-/// distinct sources into the same port need a multiplexer input each.
+/// Where an operand comes from while one block is still being bound
+/// (the bound datapath's is [`crate::Source`]). Two equal sources share
+/// a wire; distinct sources into one port need a mux input each.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Source {
     /// A wired constant (raw Q16.16 bits).

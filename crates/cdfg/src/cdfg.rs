@@ -34,7 +34,7 @@ pub struct Block {
 }
 
 /// A blocking synchronization operation attached to a [`Block`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SyncOp {
     /// Blocking send on a named channel: the block computes the channel's
     /// `tx` port variable; the FSM holds until the receiver is ready

@@ -555,7 +555,7 @@ pub struct SynthesisResult {
     pub latency: u64,
     /// Optimizer statistics.
     pub pass_stats: Vec<PassStats>,
-    /// The classifier the flow used (needed for verification).
+    /// The classifier the flow scheduled under.
     pub classifier: OpClassifier,
     /// Wall-clock time spent per pipeline stage (observability only —
     /// never rendered into response bodies or fingerprints).
@@ -573,7 +573,6 @@ impl SynthesisResult {
             &self.cdfg,
             &self.schedule,
             &self.datapath,
-            &self.classifier,
             inputs,
             false,
         )?)
@@ -595,7 +594,6 @@ impl SynthesisResult {
             &self.cdfg,
             &self.schedule,
             &self.datapath,
-            &self.classifier,
             n,
             range,
             0xD5EA_D5EA,

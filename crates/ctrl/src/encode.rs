@@ -91,10 +91,10 @@ const EXACT_MINTERM_LIMIT: usize = 600;
 /// functions of the encoded FSM, each minimized with Quine–McCluskey.
 ///
 /// Inputs to every function are the state bits plus the condition flags.
-/// Signals and flags are interned to indices and every on-set is built in
-/// one pass over the states. All functions share one [`DontCares`]
-/// lattice (the unused state codes), and functions with the same on-set
-/// are minimized once.
+/// Every on-set is built in one pass over the states, indexed by the
+/// FSM's signal table; flags are interned to indices. All functions
+/// share one [`DontCares`] lattice (the unused state codes), and
+/// functions with the same on-set are minimized once.
 ///
 /// # Errors
 ///
@@ -109,16 +109,14 @@ pub fn hardwired_logic(fsm: &Fsm, style: EncodingStyle) -> Result<HardwiredRepor
         .zip(0..)
         .map(|(f, i)| (f.as_str(), i))
         .collect();
-    // Outputs are numbered in first-seen order; the totals do not depend
-    // on the order.
-    let mut signal_index: HashMap<&str, usize> = HashMap::new();
-
     // On-sets of the next-state bits and the outputs. A truth row's input
     // vector is the state code with the flags above it; a state has one
     // row per value of the flags its own guards test, and reads the other
     // flags as 0.
     let mut next_on: Vec<Vec<u64>> = vec![Vec::new(); enc.bits as usize];
-    let mut out_on: Vec<Vec<u64>> = Vec::new();
+    // One output per signal-table entry, in table order; the totals do
+    // not depend on the order.
+    let mut out_on: Vec<Vec<u64>> = vec![Vec::new(); fsm.signals.len()];
     // The shifts wrap: the one-hot codes of more than 64 states do not
     // fit a `u64`. Such controllers are past `MAX_INPUTS`, so only their
     // on-set sizes count, and the wrapping keeps them from panicking.
@@ -139,15 +137,6 @@ pub fn hardwired_logic(fsm: &Fsm, style: EncodingStyle) -> Result<HardwiredRepor
             guards.push((guard, t.to));
         }
         let tested: BTreeSet<u32> = guards.iter().filter_map(|(g, _)| g.map(|g| g.0)).collect();
-        let signals: Vec<usize> = state
-            .signals
-            .iter()
-            .map(|n| {
-                let fresh = signal_index.len();
-                *signal_index.entry(n.as_str()).or_insert(fresh)
-            })
-            .collect();
-        out_on.resize(signal_index.len(), Vec::new());
         for combo in 0..1u64 << tested.len() {
             let flag_bits = tested
                 .iter()
@@ -165,11 +154,14 @@ pub fn hardwired_logic(fsm: &Fsm, style: EncodingStyle) -> Result<HardwiredRepor
                     on.push(input);
                 }
             }
-            for &i in &signals {
+            for &i in &state.signals {
                 out_on[i].push(input);
             }
         }
     }
+
+    // A table entry no state asserts is no output.
+    out_on.retain(|on| !on.is_empty());
 
     // Don't-care set: unused state codes (all flag combinations).
     let mut dc = Vec::new();
@@ -229,19 +221,30 @@ pub fn compare_encodings(fsm: &Fsm) -> Result<BTreeMap<&'static str, HardwiredRe
 mod tests {
     use super::*;
     use crate::fsm::{State, Transition};
+    use hls_alloc::{Signal, Source};
+    use hls_cdfg::OpKind;
 
-    /// A 4-state counter FSM with one looping guard.
+    /// A 4-state counter FSM with one looping guard, asserting three
+    /// signals: load r0 (0), add on fu0 (1) and load r1 (2).
     fn small_fsm() -> Fsm {
-        let mk = |name: &str, sigs: &[&str], trans: Vec<Transition>| State {
+        let mk = |name: &str, signals: &[usize], trans: Vec<Transition>| State {
             name: name.to_string(),
-            signals: sigs.iter().map(|s| s.to_string()).collect(),
+            signals: signals.to_vec(),
             transitions: trans,
+        };
+        let load = |reg| Signal::Load {
+            reg,
+            src: Source::Fu(0),
+        };
+        let add = Signal::FuOp {
+            fu: 0,
+            kind: OpKind::Add,
         };
         Fsm {
             states: vec![
                 mk(
                     "s0",
-                    &["load_a"],
+                    &[0],
                     vec![Transition {
                         cond: Cond::Always,
                         to: 1,
@@ -249,7 +252,7 @@ mod tests {
                 ),
                 mk(
                     "s1",
-                    &["alu_add", "load_b"],
+                    &[1, 2],
                     vec![Transition {
                         cond: Cond::Always,
                         to: 2,
@@ -257,7 +260,7 @@ mod tests {
                 ),
                 mk(
                     "s2",
-                    &["alu_add"],
+                    &[1],
                     vec![
                         Transition {
                             cond: Cond::IsFalse("done".into()),
@@ -281,6 +284,7 @@ mod tests {
             initial: 0,
             done: 3,
             flags: BTreeSet::from(["done".to_string()]),
+            signals: vec![load(0), add, load(1)],
             sync_states: Default::default(),
         }
     }
@@ -308,9 +312,23 @@ mod tests {
         let fsm = small_fsm();
         let r = hardwired_logic(&fsm, EncodingStyle::Binary).unwrap();
         assert_eq!(r.state_bits, 2);
-        assert_eq!(r.outputs, 3, "load_a, load_b, alu_add");
+        assert_eq!(r.outputs, 3, "two loads and an add");
         assert!(r.terms > 0);
         assert!(r.literals > 0);
+    }
+
+    #[test]
+    fn unasserted_table_entries_are_no_outputs() {
+        let mut fsm = small_fsm();
+        let before = hardwired_logic(&fsm, EncodingStyle::Binary).unwrap();
+        fsm.signals.push(Signal::FuOp {
+            fu: 1,
+            kind: OpKind::Mul,
+        });
+        assert_eq!(
+            hardwired_logic(&fsm, EncodingStyle::Binary).unwrap(),
+            before
+        );
     }
 
     #[test]

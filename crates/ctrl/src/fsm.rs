@@ -6,10 +6,10 @@
 //! the FSM — the interface to the data part — have been determined as part
 //! of the allocation, the FSM can be synthesized using known methods" (§2).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use hls_alloc::{global_source, Datapath};
-use hls_cdfg::{BlockId, Cdfg, LoopKind, OpKind, Region, SyncOp};
+use hls_alloc::{Datapath, Signal};
+use hls_cdfg::{BlockId, Cdfg, LoopKind, Region, SyncOp};
 use hls_sched::{CdfgSchedule, OpClassifier};
 
 use crate::CtrlError;
@@ -45,8 +45,8 @@ pub struct State {
     /// Diagnostic name, e.g. `blk1.s0`.
     pub name: String,
     /// Asserted control signals (FU operations, mux selects, register
-    /// loads).
-    pub signals: BTreeSet<String>,
+    /// loads): ascending indices into [`Fsm::signals`].
+    pub signals: Vec<usize>,
     /// Outgoing transitions, tested in order; the first matching guard
     /// wins.
     pub transitions: Vec<Transition>,
@@ -63,16 +63,18 @@ pub struct Fsm {
     pub done: StateId,
     /// Condition flags read from the datapath.
     pub flags: BTreeSet<String>,
+    /// Every distinct control signal the states assert, in first-seen
+    /// order.
+    pub signals: Vec<Signal>,
     /// Synchronization states: the *commit* state of every sync block
     /// (channel send/recv or mutexed shared access), keyed by state id
-    /// with a label such as `send c`, `recv c`, `try_send c`,
-    /// `try_recv c`, or `mutex acc`. For blocking labels the controller
-    /// holds in the state until its external grant is asserted; for the
-    /// non-blocking `try_*` labels it asserts its request for exactly one
-    /// cycle and advances regardless of the grant, which the datapath
-    /// samples as the success flag (see
+    /// with the block's [`SyncOp`]. For blocking ops the controller holds
+    /// in the state until its external grant is asserted; for
+    /// `TrySend`/`TryRecv` it asserts its request for exactly one cycle
+    /// and advances regardless of the grant, which the datapath samples
+    /// as the success flag (see
     /// [`controller_verilog`](crate::controller_verilog)).
-    pub sync_states: BTreeMap<StateId, String>,
+    pub sync_states: BTreeMap<StateId, SyncOp>,
 }
 
 impl Fsm {
@@ -87,14 +89,21 @@ impl Fsm {
     }
 
     /// Checks that every transition target exists, every guard tests a
-    /// flag in [`Fsm::flags`], and every state (except `done`) has at
-    /// least one transition.
+    /// flag in [`Fsm::flags`], every state (except `done`) has at least
+    /// one transition, and every state's signal indices ascend within
+    /// [`Fsm::signals`].
     ///
     /// # Errors
     ///
     /// Returns [`CtrlError::MalformedFsm`] on the first violation.
     pub fn validate(&self) -> Result<(), CtrlError> {
         for (i, s) in self.states.iter().enumerate() {
+            let ascending = s.signals.windows(2).all(|w| w[0] < w[1]);
+            if !ascending || s.signals.last().is_some_and(|&x| x >= self.signals.len()) {
+                return Err(CtrlError::MalformedFsm {
+                    detail: format!("state `{}` has a malformed signal set", s.name),
+                });
+            }
             if s.transitions.is_empty() && i != self.done {
                 return Err(CtrlError::MalformedFsm {
                     detail: format!("state `{}` has no transitions", s.name),
@@ -124,7 +133,11 @@ pub(crate) fn unknown_flag(state: &State, flag: &str) -> CtrlError {
     }
 }
 
-/// Builds the controller for a scheduled, bound behavior.
+/// Builds the controller for a scheduled, bound behavior: each state
+/// asserts the signals allocation recorded for its control step.
+///
+/// `classifier` is unused — allocation already resolved every source —
+/// and stays in the signature for existing callers.
 ///
 /// # Errors
 ///
@@ -134,13 +147,13 @@ pub fn build_fsm(
     cdfg: &Cdfg,
     schedule: &CdfgSchedule,
     datapath: &Datapath,
-    classifier: &OpClassifier,
+    _classifier: &OpClassifier,
 ) -> Result<Fsm, CtrlError> {
     let mut b = Builder {
         cdfg,
         schedule,
         datapath,
-        classifier,
+        index: HashMap::new(),
         fsm: Fsm::default(),
     };
     let (entry, exits) = b.emit_region(cdfg.body())?;
@@ -148,7 +161,7 @@ pub fn build_fsm(
     let done = b.fsm.states.len();
     b.fsm.states.push(State {
         name: "done".to_string(),
-        signals: BTreeSet::new(),
+        signals: Vec::new(),
         transitions: vec![Transition {
             cond: Cond::Always,
             to: done,
@@ -177,7 +190,8 @@ struct Builder<'a> {
     cdfg: &'a Cdfg,
     schedule: &'a CdfgSchedule,
     datapath: &'a Datapath,
-    classifier: &'a OpClassifier,
+    /// Position of each recorded signal in `fsm.signals`.
+    index: HashMap<&'a Signal, usize>,
     fsm: Fsm,
 }
 
@@ -297,87 +311,29 @@ impl Builder<'_> {
         block: BlockId,
         force_state: bool,
     ) -> Result<(Option<StateId>, Exits), CtrlError> {
-        let dfg = &self.cdfg.block(block).dfg;
-        let name = &self.cdfg.block(block).name;
-        let sched = self
-            .schedule
-            .block(block)
-            .ok_or_else(|| CtrlError::MissingBinding {
-                block: name.clone(),
-            })?;
-        let binding =
-            self.datapath
-                .blocks
-                .get(&block)
-                .ok_or_else(|| CtrlError::MissingBinding {
-                    block: name.clone(),
-                })?;
-        let steps = sched.num_steps();
+        let cdfg = self.cdfg;
+        let name = &cdfg.block(block).name;
+        let missing = || CtrlError::MissingBinding {
+            block: name.clone(),
+        };
+        let steps = self.schedule.block(block).ok_or_else(missing)?.num_steps();
+        let binding = self.datapath.blocks.get(&block).ok_or_else(missing)?;
         if steps == 0 && !force_state {
             return Ok((None, Vec::new()));
         }
         let first = self.fsm.states.len();
-        let last_step = steps.saturating_sub(1);
         for step in 0..steps.max(1) {
-            let mut signals = BTreeSet::new();
-            for op in sched.ops_in_step(step) {
-                if let Some(&f) = binding.op_fu.get(&op) {
-                    signals.insert(format!("fu{f}={}", dfg.op(op).kind.symbol()));
-                    for (port, &v) in dfg.op(op).operands.iter().enumerate() {
-                        let src = global_source(
-                            dfg,
-                            self.classifier,
-                            sched,
-                            &binding.op_fu,
-                            &binding.value_reg,
-                            &self.datapath.var_reg,
-                            v,
-                            step,
-                        );
-                        signals.insert(format!("fu{f}.p{port}<-{src}"));
-                    }
-                    if let Some(res) = dfg.result(op) {
-                        if let Some(&r) = binding.value_reg.get(&res) {
-                            signals.insert(format!("r{r}<=fu{f}"));
-                        }
-                    }
-                } else if self.classifier.is_free(dfg, op) && dfg.op(op).kind != OpKind::Const {
-                    // Chained free op whose result is stored.
-                    if let Some(res) = dfg.result(op) {
-                        if let Some(&r) = binding.value_reg.get(&res) {
-                            // Described from the driving side of the wire.
-                            let drive = global_source(
-                                dfg,
-                                self.classifier,
-                                sched,
-                                &binding.op_fu,
-                                &binding.value_reg,
-                                &self.datapath.var_reg,
-                                dfg.op(op).operands[0],
-                                step,
-                            );
-                            signals.insert(format!("r{r}<={drive}{}", dfg.op(op).kind.symbol()));
-                        }
-                    }
-                }
-            }
-            if step == last_step {
-                for w in &binding.writes {
-                    if let Some(&r) = self.datapath.var_reg.get(&w.var) {
-                        let src = global_source(
-                            dfg,
-                            self.classifier,
-                            sched,
-                            &binding.op_fu,
-                            &binding.value_reg,
-                            &self.datapath.var_reg,
-                            w.value,
-                            last_step + 1,
-                        );
-                        signals.insert(format!("r{r}<={src}"));
-                    }
-                }
-            }
+            let recorded = binding.signals.get(step as usize).into_iter().flatten();
+            let mut signals: Vec<usize> = recorded
+                .map(|signal| {
+                    *self.index.entry(signal).or_insert_with(|| {
+                        self.fsm.signals.push(signal.clone());
+                        self.fsm.signals.len() - 1
+                    })
+                })
+                .collect();
+            signals.sort_unstable();
+            signals.dedup();
             let id = self.fsm.states.len();
             self.fsm.states.push(State {
                 name: format!("{name}.s{step}"),
@@ -392,15 +348,8 @@ impl Builder<'_> {
             }
         }
         let last = self.fsm.states.len() - 1;
-        if let Some(sync) = &self.cdfg.block(block).sync {
-            let label = match sync {
-                SyncOp::Send { chan } => format!("send {chan}"),
-                SyncOp::Recv { chan } => format!("recv {chan}"),
-                SyncOp::TrySend { chan } => format!("try_send {chan}"),
-                SyncOp::TryRecv { chan } => format!("try_recv {chan}"),
-                SyncOp::Shared { var, .. } => format!("mutex {var}"),
-            };
-            self.fsm.sync_states.insert(last, label);
+        if let Some(sync) = &cdfg.block(block).sync {
+            self.fsm.sync_states.insert(last, sync.clone());
         }
         Ok((Some(first), vec![(last, Cond::Always)]))
     }
@@ -468,15 +417,37 @@ mod tests {
     #[test]
     fn signals_cover_fu_ops_and_reg_loads() {
         let fsm = sqrt_fsm();
-        let sigs: BTreeSet<&String> = fsm.states.iter().flat_map(|s| &s.signals).collect();
+        let sigs = &fsm.signals;
         assert!(
-            sigs.iter().any(|s| s.contains("=/")),
+            sigs.iter().any(|s| matches!(
+                s,
+                Signal::FuOp {
+                    kind: hls_cdfg::OpKind::Div,
+                    ..
+                }
+            )),
             "a divide signal: {sigs:?}"
         );
         assert!(
-            sigs.iter().any(|s| s.contains("<=")),
+            sigs.iter().any(|s| matches!(s, Signal::Load { .. })),
             "register loads: {sigs:?}"
         );
+        // The table holds exactly the signals some state asserts.
+        let asserted: BTreeSet<usize> = fsm.states.iter().flat_map(|s| s.signals.clone()).collect();
+        assert_eq!(asserted, (0..sigs.len()).collect());
+    }
+
+    #[test]
+    fn malformed_signal_sets_are_rejected() {
+        for bad in [vec![1, 0], vec![0, 0], vec![usize::MAX]] {
+            let mut fsm = sqrt_fsm();
+            fsm.states[0].signals = bad;
+            let err = fsm.validate().unwrap_err();
+            assert!(
+                matches!(&err, CtrlError::MalformedFsm { detail } if detail.contains("malformed signal set")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! The controller half of the tutorial's RT-level structure:
 //!
 //! * [`build_fsm`] — one state per control step, loop/branch transitions
-//!   guarded by datapath flags, control signals from the datapath binding.
+//!   guarded by datapath flags. Each state asserts the typed
+//!   [`hls_alloc::Signal`]s allocation recorded for its step, as indices
+//!   into one table per FSM ([`Fsm::signals`]); the logic, microcode and
+//!   minimization below work on those indices.
 //! * [`encode_states`] / [`hardwired_logic`] — binary, one-hot, and Gray
 //!   state assignments with two-level-minimized next-state/output logic
 //!   ([`logic`] implements Quine–McCluskey).

@@ -20,20 +20,21 @@ pub struct MinimizedFsm {
 /// states (Moore-machine partition refinement).
 pub fn minimize_states(fsm: &Fsm) -> MinimizedFsm {
     // Initial partition key: (asserted signals, transition guard
-    // structure, sync label).
-    type InitKey = (Vec<String>, Vec<String>, Option<String>);
+    // structure, sync op).
+    type InitKey<'a> = (&'a [usize], Vec<String>, Option<&'a hls_cdfg::SyncOp>);
     let n = fsm.states.len();
     let mut class: Vec<usize> = vec![0; n];
     {
-        let mut key_to_class: BTreeMap<InitKey, usize> = BTreeMap::new();
+        let mut key_to_class: HashMap<InitKey, usize> = HashMap::new();
         for (i, s) in fsm.states.iter().enumerate() {
-            let sig: Vec<String> = s.signals.iter().cloned().collect();
             let guards: Vec<String> = s.transitions.iter().map(|t| cond_key(&t.cond)).collect();
             // A sync (handshake) state may only merge with a state that
-            // waits on the same grant.
-            let sync = fsm.sync_states.get(&i).cloned();
+            // performs the same handshake.
+            let sync = fsm.sync_states.get(&i);
             let next = key_to_class.len();
-            let c = *key_to_class.entry((sig, guards, sync)).or_insert(next);
+            let c = *key_to_class
+                .entry((&s.signals, guards, sync))
+                .or_insert(next);
             class[i] = c;
         }
     }
@@ -89,7 +90,7 @@ pub fn minimize_states(fsm: &Fsm) -> MinimizedFsm {
     let sync_states = fsm
         .sync_states
         .iter()
-        .map(|(&s, label)| (mapping[s], label.clone()))
+        .map(|(&s, op)| (mapping[s], op.clone()))
         .collect();
     MinimizedFsm {
         fsm: Fsm {
@@ -97,6 +98,7 @@ pub fn minimize_states(fsm: &Fsm) -> MinimizedFsm {
             initial: mapping[fsm.initial],
             done: mapping[fsm.done],
             flags: fsm.flags.clone(),
+            signals: fsm.signals.clone(),
             sync_states,
         },
         mapping,
@@ -115,14 +117,26 @@ fn cond_key(c: &Cond) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hls_alloc::Signal;
+    use hls_cdfg::OpKind;
     use std::collections::BTreeSet;
 
-    fn state(name: &str, sigs: &[&str], trans: Vec<Transition>) -> State {
+    fn state(name: &str, signals: &[usize], trans: Vec<Transition>) -> State {
         State {
             name: name.to_string(),
-            signals: sigs.iter().map(|s| s.to_string()).collect(),
+            signals: signals.to_vec(),
             transitions: trans,
         }
+    }
+
+    /// A signal table of `n` distinct FU operations.
+    fn table(n: usize) -> Vec<Signal> {
+        (0..n)
+            .map(|fu| Signal::FuOp {
+                fu,
+                kind: OpKind::Add,
+            })
+            .collect()
     }
 
     #[test]
@@ -132,7 +146,7 @@ mod tests {
             states: vec![
                 state(
                     "s0",
-                    &["a"],
+                    &[0],
                     vec![
                         Transition {
                             cond: Cond::IsTrue("f".into()),
@@ -146,7 +160,7 @@ mod tests {
                 ),
                 state(
                     "s1",
-                    &["b"],
+                    &[1],
                     vec![Transition {
                         cond: Cond::Always,
                         to: 3,
@@ -154,7 +168,7 @@ mod tests {
                 ),
                 state(
                     "s2",
-                    &["b"],
+                    &[1],
                     vec![Transition {
                         cond: Cond::Always,
                         to: 3,
@@ -172,6 +186,7 @@ mod tests {
             initial: 0,
             done: 3,
             flags: BTreeSet::from(["f".to_string()]),
+            signals: table(2),
             sync_states: Default::default(),
         };
         let m = minimize_states(&fsm);
@@ -188,7 +203,7 @@ mod tests {
             states: vec![
                 state(
                     "s0",
-                    &["x"],
+                    &[0],
                     vec![Transition {
                         cond: Cond::Always,
                         to: 1,
@@ -196,7 +211,7 @@ mod tests {
                 ),
                 state(
                     "s1",
-                    &["x"],
+                    &[0],
                     vec![Transition {
                         cond: Cond::Always,
                         to: 2,
@@ -204,7 +219,7 @@ mod tests {
                 ),
                 state(
                     "s2",
-                    &["y"],
+                    &[1],
                     vec![Transition {
                         cond: Cond::Always,
                         to: 3,
@@ -222,6 +237,7 @@ mod tests {
             initial: 0,
             done: 3,
             flags: BTreeSet::new(),
+            signals: table(2),
             sync_states: Default::default(),
         };
         let m = minimize_states(&fsm);
@@ -252,6 +268,7 @@ mod tests {
             initial: 0,
             done: 1,
             flags: BTreeSet::new(),
+            signals: Vec::new(),
             sync_states: Default::default(),
         };
         let once = minimize_states(&fsm);

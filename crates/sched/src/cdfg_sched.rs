@@ -10,7 +10,7 @@ use crate::bb::branch_and_bound_schedule_graph;
 use crate::bounds::SchedGraph;
 use crate::force::ForceScheduler;
 use crate::freedom::freedom_based_schedule_graph;
-use crate::hforce::HierForceScheduler;
+use crate::hforce::{HierForceScheduler, DEFAULT_WINDOW};
 use crate::list::{list_schedule_graph, Priority};
 use crate::resource::{OpClassifier, ResourceLimits};
 use crate::schedule::{CdfgSchedule, Schedule};
@@ -73,6 +73,66 @@ impl Algorithm {
             Algorithm::FreedomBased { .. } => "freedom-based",
             Algorithm::BranchAndBound { .. } => "branch-and-bound",
             Algorithm::Transformational => "transformational",
+        }
+    }
+
+    /// Parses a scheduler spec: `asap`, `alap[/N]`,
+    /// `list[/path|/urgency|/mobility]`, `force[/N]`, `hforce[/N[/W]]`,
+    /// `freedom[/N]`, `bb` or `transform` (`N` is the slack, `W` the
+    /// window). `bb` searches up to 4 000 000 nodes.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the spec when the algorithm is unknown or a
+    /// slack or window does not parse.
+    pub fn parse(spec: &str) -> Result<Algorithm, String> {
+        let (head, arg) = spec
+            .split_once('/')
+            .map_or((spec, None), |(h, a)| (h, Some(a)));
+        let bad = |what: &str| format!("invalid {what} in algorithm {spec:?}");
+        let slack = |s: Option<&str>| s.map_or(Ok(0), |a| a.parse().map_err(|_| bad("slack")));
+        match (head, arg) {
+            ("asap", None) => Ok(Algorithm::Asap),
+            ("alap", _) => Ok(Algorithm::Alap { slack: slack(arg)? }),
+            ("list", None | Some("path")) => Ok(Algorithm::List(Priority::PathLength)),
+            ("list", Some("urgency")) => Ok(Algorithm::List(Priority::Urgency)),
+            ("list", Some("mobility")) => Ok(Algorithm::List(Priority::Mobility)),
+            ("force", _) => Ok(Algorithm::ForceDirected { slack: slack(arg)? }),
+            ("hforce", _) => {
+                let (s, w) = match arg.and_then(|a| a.split_once('/')) {
+                    Some((s, w)) => (Some(s), Some(w)),
+                    None => (arg, None),
+                };
+                let slack = slack(s)?;
+                let window = w.map_or(Some(DEFAULT_WINDOW as u32), |w| {
+                    w.parse().ok().filter(|&w| w > 0)
+                });
+                let window = window.ok_or_else(|| bad("window"))?;
+                Ok(Algorithm::HierForce { slack, window })
+            }
+            ("freedom", _) => Ok(Algorithm::FreedomBased { slack: slack(arg)? }),
+            ("bb", None) => Ok(Algorithm::BranchAndBound {
+                node_budget: 4_000_000,
+            }),
+            ("transform", None) => Ok(Algorithm::Transformational),
+            _ => Err(format!("unknown algorithm {spec:?}")),
+        }
+    }
+
+    /// The canonical spec [`Algorithm::parse`] reads back: every slack
+    /// and window spelled out (`hforce/0/64`), the node budget left out.
+    pub fn spec(self) -> String {
+        match self {
+            Algorithm::Asap => "asap".into(),
+            Algorithm::Alap { slack } => format!("alap/{slack}"),
+            Algorithm::List(Priority::PathLength) => "list/path".into(),
+            Algorithm::List(Priority::Urgency) => "list/urgency".into(),
+            Algorithm::List(Priority::Mobility) => "list/mobility".into(),
+            Algorithm::ForceDirected { slack } => format!("force/{slack}"),
+            Algorithm::HierForce { slack, window } => format!("hforce/{slack}/{window}"),
+            Algorithm::FreedomBased { slack } => format!("freedom/{slack}"),
+            Algorithm::BranchAndBound { .. } => "bb".into(),
+            Algorithm::Transformational => "transform".into(),
         }
     }
 }
@@ -204,6 +264,72 @@ fn alap_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every spec the service and the fuzzer accept parses, and the
+    /// canonical ones round-trip through [`Algorithm::spec`].
+    #[test]
+    fn algorithm_specs_parse_and_roundtrip() {
+        for spec in [
+            "asap",
+            "alap/0",
+            "alap/2",
+            "list/path",
+            "list/urgency",
+            "list/mobility",
+            "force/0",
+            "force/2",
+            "hforce/0/64",
+            "hforce/2/8",
+            "hforce/2/4",
+            "freedom/1",
+            "bb",
+            "transform",
+        ] {
+            let a = Algorithm::parse(spec).unwrap();
+            assert_eq!(a.spec(), spec, "{spec}");
+        }
+        let w = DEFAULT_WINDOW as u32;
+        for (spec, canonical) in [
+            ("hforce", format!("hforce/0/{w}")),
+            ("hforce/3", format!("hforce/3/{w}")),
+            ("alap", "alap/0".to_string()),
+            ("list", "list/path".to_string()),
+        ] {
+            assert_eq!(Algorithm::parse(spec).unwrap().spec(), canonical);
+        }
+        assert_eq!(
+            Algorithm::parse("hforce/3"),
+            Ok(Algorithm::HierForce {
+                slack: 3,
+                window: w
+            })
+        );
+        assert_eq!(
+            Algorithm::parse("bb"),
+            Ok(Algorithm::BranchAndBound {
+                node_budget: 4_000_000
+            })
+        );
+        assert_eq!(
+            Algorithm::parse("transform"),
+            Ok(Algorithm::Transformational)
+        );
+        for (spec, err) in [
+            ("quantum", "unknown algorithm \"quantum\""),
+            ("bogus", "unknown algorithm \"bogus\""),
+            ("list/bogus", "unknown algorithm \"list/bogus\""),
+            ("asap/1", "unknown algorithm \"asap/1\""),
+            ("bb/5", "unknown algorithm \"bb/5\""),
+            ("force/x", "invalid slack in algorithm \"force/x\""),
+            ("hforce/x/4", "invalid slack in algorithm \"hforce/x/4\""),
+            ("hforce/x/0", "invalid slack in algorithm \"hforce/x/0\""),
+            ("hforce/1/0", "invalid window in algorithm \"hforce/1/0\""),
+            ("hforce/1/x", "invalid window in algorithm \"hforce/1/x\""),
+            ("hforce/1/y", "invalid window in algorithm \"hforce/1/y\""),
+        ] {
+            assert_eq!(Algorithm::parse(spec), Err(err.to_string()), "{spec}");
+        }
+    }
 
     fn sqrt_cdfg() -> Cdfg {
         hls_lang::compile(hls_workloads::sources::SQRT).unwrap()

@@ -14,7 +14,7 @@ use hls_core::{
     SynthesisResult, Synthesizer, SystemSynthesisResult,
 };
 use hls_ctrl::EncodingStyle;
-use hls_sched::{Algorithm, Priority};
+use hls_sched::Algorithm;
 
 use crate::json::Json;
 
@@ -30,79 +30,6 @@ impl std::fmt::Display for ApiError {
 
 fn err(msg: impl Into<String>) -> ApiError {
     ApiError(msg.into())
-}
-
-/// Parses an algorithm name (`asap`, `list/path`, `list/urgency`,
-/// `list/mobility`, `force`, `force/N`, `hforce`, `hforce/N`,
-/// `hforce/N/W`, `freedom`, `freedom/N`, `bb`, `transform`).
-pub fn parse_algorithm(name: &str) -> Result<Algorithm, ApiError> {
-    let (head, arg) = match name.split_once('/') {
-        Some((h, a)) => (h, Some(a)),
-        None => (name, None),
-    };
-    let slack = || -> Result<u32, ApiError> {
-        match arg {
-            None => Ok(0),
-            Some(a) => a
-                .parse()
-                .map_err(|_| err(format!("invalid slack in algorithm {name:?}"))),
-        }
-    };
-    match (head, arg) {
-        ("asap", None) => Ok(Algorithm::Asap),
-        ("alap", _) => Ok(Algorithm::Alap { slack: slack()? }),
-        ("list", None | Some("path")) => Ok(Algorithm::List(Priority::PathLength)),
-        ("list", Some("urgency")) => Ok(Algorithm::List(Priority::Urgency)),
-        ("list", Some("mobility")) => Ok(Algorithm::List(Priority::Mobility)),
-        ("force", _) => Ok(Algorithm::ForceDirected { slack: slack()? }),
-        ("hforce", _) => {
-            // `hforce`, `hforce/S`, or `hforce/S/W`.
-            let (slack, window) = match arg {
-                None => (0, hls_sched::DEFAULT_WINDOW as u32),
-                Some(a) => {
-                    let (s, w) = match a.split_once('/') {
-                        None => (a, None),
-                        Some((s, w)) => (s, Some(w)),
-                    };
-                    let slack = s
-                        .parse()
-                        .map_err(|_| err(format!("invalid slack in algorithm {name:?}")))?;
-                    let window = match w {
-                        None => hls_sched::DEFAULT_WINDOW as u32,
-                        Some(w) => {
-                            w.parse::<u32>().ok().filter(|&w| w > 0).ok_or_else(|| {
-                                err(format!("invalid window in algorithm {name:?}"))
-                            })?
-                        }
-                    };
-                    (slack, window)
-                }
-            };
-            Ok(Algorithm::HierForce { slack, window })
-        }
-        ("freedom", _) => Ok(Algorithm::FreedomBased { slack: slack()? }),
-        ("bb", None) => Ok(Algorithm::BranchAndBound {
-            node_budget: 4_000_000,
-        }),
-        ("transform", None) => Ok(Algorithm::Transformational),
-        _ => Err(err(format!("unknown algorithm {name:?}"))),
-    }
-}
-
-/// Renders an algorithm in the same notation [`parse_algorithm`] accepts.
-pub fn algorithm_str(a: Algorithm) -> String {
-    match a {
-        Algorithm::Asap => "asap".into(),
-        Algorithm::Alap { slack } => format!("alap/{slack}"),
-        Algorithm::List(Priority::PathLength) => "list/path".into(),
-        Algorithm::List(Priority::Urgency) => "list/urgency".into(),
-        Algorithm::List(Priority::Mobility) => "list/mobility".into(),
-        Algorithm::ForceDirected { slack } => format!("force/{slack}"),
-        Algorithm::HierForce { slack, window } => format!("hforce/{slack}/{window}"),
-        Algorithm::FreedomBased { slack } => format!("freedom/{slack}"),
-        Algorithm::BranchAndBound { .. } => "bb".into(),
-        Algorithm::Transformational => "transform".into(),
-    }
 }
 
 /// Parses a control style (`hardwired/binary`, `hardwired/onehot`,
@@ -169,7 +96,7 @@ fn build_synthesizer(config: Option<&Json>) -> Result<Synthesizer, ApiError> {
                 let name = value
                     .as_str()
                     .ok_or_else(|| err("config.algorithm must be a string"))?;
-                syn.set_algorithm(parse_algorithm(name)?);
+                syn.set_algorithm(Algorithm::parse(name).map_err(ApiError)?);
             }
             "control" => {
                 let name = value
@@ -290,7 +217,7 @@ fn parse_grid(grid: &Json, base: &Synthesizer) -> Result<GridSpec, ApiError> {
             .map(|a| {
                 a.as_str()
                     .ok_or_else(|| err("grid.algorithms entries must be strings"))
-                    .and_then(parse_algorithm)
+                    .and_then(|a| Algorithm::parse(a).map_err(ApiError))
             })
             .collect::<Result<_, _>>()?,
     };
@@ -424,10 +351,11 @@ impl BatchRequest {
                             as usize;
                         let algorithm = match p.get("algorithm") {
                             None => synthesizer.configured_algorithm(),
-                            Some(a) => parse_algorithm(
+                            Some(a) => Algorithm::parse(
                                 a.as_str()
                                     .ok_or_else(|| err("point algorithm must be a string"))?,
-                            )?,
+                            )
+                            .map_err(ApiError)?,
                         };
                         let control = match p.get("control") {
                             None => synthesizer.configured_control(),
@@ -703,7 +631,7 @@ pub fn system_response(
 fn point_json(p: &DesignPoint) -> Json {
     Json::Obj(vec![
         ("fus".into(), Json::Num(p.fus as f64)),
-        ("algorithm".into(), Json::Str(algorithm_str(p.algorithm))),
+        ("algorithm".into(), Json::Str(p.algorithm.spec())),
         ("control".into(), Json::Str(control_str(p.control))),
         ("latency".into(), Json::Num(p.latency as f64)),
         ("area".into(), Json::Num(p.area)),
@@ -772,7 +700,7 @@ pub fn explore_response_pruned(sweep: &PrunedSweep, behavior_fp: u64, config_fp:
 pub fn grid_point_json(p: &GridPoint) -> Json {
     Json::Obj(vec![
         ("fus".into(), Json::Num(p.fus as f64)),
-        ("algorithm".into(), Json::Str(algorithm_str(p.algorithm))),
+        ("algorithm".into(), Json::Str(p.algorithm.spec())),
         ("control".into(), Json::Str(control_str(p.control))),
     ])
 }
@@ -916,42 +844,6 @@ pub fn run_synthesize(
 mod tests {
     use super::*;
     use crate::json::parse;
-
-    #[test]
-    fn algorithm_names_roundtrip() {
-        for name in [
-            "asap",
-            "alap/0",
-            "alap/2",
-            "list/path",
-            "list/urgency",
-            "list/mobility",
-            "force/0",
-            "force/2",
-            "hforce/0/64",
-            "hforce/2/8",
-            "freedom/1",
-            "bb",
-            "transform",
-        ] {
-            let a = parse_algorithm(name).unwrap();
-            assert_eq!(algorithm_str(a), name, "{name}");
-        }
-        assert!(parse_algorithm("quantum").is_err());
-        assert!(parse_algorithm("force/x").is_err());
-        // Shorthand forms normalize to the canonical slack/window string.
-        assert_eq!(
-            algorithm_str(parse_algorithm("hforce").unwrap()),
-            format!("hforce/0/{}", hls_sched::DEFAULT_WINDOW)
-        );
-        assert_eq!(
-            algorithm_str(parse_algorithm("hforce/3").unwrap()),
-            format!("hforce/3/{}", hls_sched::DEFAULT_WINDOW)
-        );
-        assert!(parse_algorithm("hforce/1/0").is_err(), "window 0 rejected");
-        assert!(parse_algorithm("hforce/x/4").is_err());
-        assert!(parse_algorithm("hforce/1/y").is_err());
-    }
 
     #[test]
     fn control_names_roundtrip() {

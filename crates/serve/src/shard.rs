@@ -39,6 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use hls_core::{cdfg_fingerprint, CancelToken, DesignPoint, GridPoint, Synthesizer};
+use hls_sched::Algorithm;
 
 use crate::api;
 use crate::http::{start_chunked, ChunkedLineReader, ClientResponse, Request, Response};
@@ -433,7 +434,7 @@ fn parse_record(line: &str) -> Option<ParsedRecord> {
     let hit = v.get("cache_hit").and_then(Json::as_bool)?;
     let point = DesignPoint {
         fus: p.get("fus")?.as_u64()? as usize,
-        algorithm: api::parse_algorithm(p.get("algorithm")?.as_str()?).ok()?,
+        algorithm: Algorithm::parse(p.get("algorithm")?.as_str()?).ok()?,
         control: api::parse_control(p.get("control")?.as_str()?).ok()?,
         latency: r.get("latency")?.as_u64()?,
         area: r.get("area")?.as_f64()?,
@@ -460,10 +461,7 @@ fn sub_batch_body(req: &api::BatchRequest, pts: &[(u64, GridPoint)]) -> Vec<u8> 
                     Json::Obj(vec![
                         ("seq".into(), Json::Num(*seq as f64)),
                         ("fus".into(), Json::Num(p.fus as f64)),
-                        (
-                            "algorithm".into(),
-                            Json::Str(api::algorithm_str(p.algorithm)),
-                        ),
+                        ("algorithm".into(), Json::Str(p.algorithm.spec())),
                         ("control".into(), Json::Str(api::control_str(p.control))),
                     ])
                 })

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use hls_alloc::Datapath;
 use hls_cdfg::{Cdfg, Fx};
-use hls_sched::{CdfgSchedule, OpClassifier};
+use hls_sched::CdfgSchedule;
 
 use crate::behav::interpret;
 use crate::rtl::simulate;
@@ -36,11 +36,10 @@ pub fn check_vector(
     cdfg: &Cdfg,
     schedule: &CdfgSchedule,
     datapath: &Datapath,
-    classifier: &OpClassifier,
     inputs: &BTreeMap<String, Fx>,
 ) -> Result<Equivalence, SimError> {
     let golden = interpret(cdfg, inputs)?;
-    let rtl = simulate(cdfg, schedule, datapath, classifier, inputs, false)?;
+    let rtl = simulate(cdfg, schedule, datapath, inputs, false)?;
     for (name, &expected) in &golden.outputs {
         let got = rtl.outputs.get(name).copied().unwrap_or(Fx::ZERO);
         if got != expected {
@@ -74,7 +73,6 @@ pub fn check_random_vectors(
     cdfg: &Cdfg,
     schedule: &CdfgSchedule,
     datapath: &Datapath,
-    classifier: &OpClassifier,
     n: usize,
     range: (f64, f64),
     seed: u64,
@@ -104,7 +102,7 @@ pub fn check_random_vectors(
             Err(e) => return Err(e),
             Ok(_) => {}
         }
-        let eq = check_vector(cdfg, schedule, datapath, classifier, &inputs)?;
+        let eq = check_vector(cdfg, schedule, datapath, &inputs)?;
         cycles += eq.total_cycles;
         checked += 1;
         if !eq.equivalent {
@@ -128,21 +126,21 @@ mod tests {
     use super::*;
     use hls_alloc::{build_datapath, CliqueMethod, FuStrategy};
     use hls_rtl::Library;
-    use hls_sched::{schedule_cdfg, Algorithm, Priority, ResourceLimits};
+    use hls_sched::{schedule_cdfg, Algorithm, OpClassifier, Priority, ResourceLimits};
 
     fn full_flow(
         src: &str,
         strategy: FuStrategy,
         algorithm: Algorithm,
         fus: usize,
-    ) -> (Cdfg, CdfgSchedule, Datapath, OpClassifier) {
+    ) -> (Cdfg, CdfgSchedule, Datapath) {
         let mut cdfg = hls_lang::compile(src).unwrap();
         hls_opt::optimize(&mut cdfg);
         let cls = OpClassifier::universal_free_shifts();
         let limits = ResourceLimits::universal(fus);
         let sched = schedule_cdfg(&cdfg, &cls, &limits, algorithm).unwrap();
         let dp = build_datapath(&cdfg, &sched, &cls, &Library::standard(), strategy).unwrap();
-        (cdfg, sched, dp, cls)
+        (cdfg, sched, dp)
     }
 
     #[test]
@@ -157,10 +155,8 @@ mod tests {
                 Algorithm::List(Priority::PathLength),
                 Algorithm::Transformational,
             ] {
-                let (cdfg, sched, dp, cls) =
-                    full_flow(hls_workloads::sources::SQRT, strategy, alg, 2);
-                let eq =
-                    check_random_vectors(&cdfg, &sched, &dp, &cls, 10, (0.1, 1.0), 42).unwrap();
+                let (cdfg, sched, dp) = full_flow(hls_workloads::sources::SQRT, strategy, alg, 2);
+                let eq = check_random_vectors(&cdfg, &sched, &dp, 10, (0.1, 1.0), 42).unwrap();
                 assert!(eq.equivalent, "{strategy:?}/{alg:?}: {:?}", eq.mismatch);
                 assert_eq!(eq.vectors, 10);
             }
@@ -188,20 +184,20 @@ mod tests {
                 ("A".to_string(), Fx::from_i64(a)),
                 ("B".to_string(), Fx::from_i64(b)),
             ]);
-            let eq = check_vector(&cdfg, &sched, &dp, &cls, &inputs).unwrap();
+            let eq = check_vector(&cdfg, &sched, &dp, &inputs).unwrap();
             assert!(eq.equivalent, "gcd({a},{b}): {:?}", eq.mismatch);
         }
     }
 
     #[test]
     fn fir4_equivalent() {
-        let (cdfg, sched, dp, cls) = full_flow(
+        let (cdfg, sched, dp) = full_flow(
             hls_workloads::sources::FIR4,
             FuStrategy::GreedyAware,
             Algorithm::List(Priority::PathLength),
             2,
         );
-        let eq = check_random_vectors(&cdfg, &sched, &dp, &cls, 16, (-2.0, 2.0), 7).unwrap();
+        let eq = check_random_vectors(&cdfg, &sched, &dp, 16, (-2.0, 2.0), 7).unwrap();
         assert!(eq.equivalent, "{:?}", eq.mismatch);
     }
 
@@ -229,7 +225,7 @@ mod tests {
         assert!(dp.memories.contains(&"A".to_string()));
         for n in [0i64, 2, 7, 15] {
             let inputs = BTreeMap::from([("N".to_string(), Fx::from_i64(n))]);
-            let eq = check_vector(&cdfg, &sched, &dp, &cls, &inputs).unwrap();
+            let eq = check_vector(&cdfg, &sched, &dp, &inputs).unwrap();
             assert!(eq.equivalent, "N={n}: {:?}", eq.mismatch);
         }
     }
@@ -257,7 +253,7 @@ mod tests {
             ("DX".to_string(), Fx::from_f64(0.25)),
             ("A".to_string(), Fx::from_f64(1.0)),
         ]);
-        let eq = check_vector(&cdfg, &sched, &dp, &cls, &inputs).unwrap();
+        let eq = check_vector(&cdfg, &sched, &dp, &inputs).unwrap();
         assert!(eq.equivalent, "{:?}", eq.mismatch);
     }
 }

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use hls_alloc::{BlockBinding, Datapath};
 use hls_cdfg::{BlockId, Cdfg, Fx, LoopKind, OpKind, Region, ValueDef, ValueId};
-use hls_sched::{CdfgSchedule, OpClassifier, Schedule};
+use hls_sched::{CdfgSchedule, Schedule};
 
 use crate::behav::{apply_width, eval_op, MAX_ITERATIONS};
 use crate::SimError;
@@ -38,11 +38,10 @@ pub fn simulate(
     cdfg: &Cdfg,
     schedule: &CdfgSchedule,
     datapath: &Datapath,
-    classifier: &OpClassifier,
     inputs: &BTreeMap<String, Fx>,
     record_trace: bool,
 ) -> Result<RtlResult, SimError> {
-    let mut sim = Sim::new(cdfg, schedule, datapath, classifier, record_trace);
+    let mut sim = Sim::new(cdfg, schedule, datapath, record_trace);
     for (name, width) in cdfg.inputs() {
         let v = inputs
             .get(name)
@@ -69,8 +68,6 @@ pub(crate) struct Sim<'a> {
     cdfg: &'a Cdfg,
     schedule: &'a CdfgSchedule,
     datapath: &'a Datapath,
-    #[allow(dead_code)]
-    classifier: &'a OpClassifier,
     regs: Vec<Fx>,
     memories: HashMap<String, HashMap<i64, Fx>>,
     pub(crate) cycles: u64,
@@ -83,14 +80,12 @@ impl<'a> Sim<'a> {
         cdfg: &'a Cdfg,
         schedule: &'a CdfgSchedule,
         datapath: &'a Datapath,
-        classifier: &'a OpClassifier,
         record_trace: bool,
     ) -> Self {
         Sim {
             cdfg,
             schedule,
             datapath,
-            classifier,
             regs: vec![Fx::ZERO; datapath.regs.len()],
             memories: HashMap::new(),
             cycles: 0,
@@ -358,13 +353,9 @@ mod tests {
     use super::*;
     use hls_alloc::{build_datapath, FuStrategy};
     use hls_rtl::Library;
-    use hls_sched::{schedule_cdfg, Algorithm, Priority, ResourceLimits};
+    use hls_sched::{schedule_cdfg, Algorithm, OpClassifier, Priority, ResourceLimits};
 
-    fn synthesize(
-        src: &str,
-        fus: usize,
-        optimize: bool,
-    ) -> (Cdfg, CdfgSchedule, Datapath, OpClassifier) {
+    fn synthesize(src: &str, fus: usize, optimize: bool) -> (Cdfg, CdfgSchedule, Datapath) {
         let mut cdfg = hls_lang::compile(src).unwrap();
         if optimize {
             hls_opt::optimize(&mut cdfg);
@@ -385,17 +376,16 @@ mod tests {
             FuStrategy::GreedyAware,
         )
         .unwrap();
-        (cdfg, sched, dp, cls)
+        (cdfg, sched, dp)
     }
 
     #[test]
     fn sqrt_rtl_matches_math_and_cycle_count() {
-        let (cdfg, sched, dp, cls) = synthesize(hls_workloads::sources::SQRT, 2, true);
+        let (cdfg, sched, dp) = synthesize(hls_workloads::sources::SQRT, 2, true);
         let r = simulate(
             &cdfg,
             &sched,
             &dp,
-            &cls,
             &BTreeMap::from([("X".to_string(), Fx::from_f64(0.7))]),
             false,
         )
@@ -406,12 +396,11 @@ mod tests {
 
     #[test]
     fn sqrt_serial_rtl_takes_23_cycles() {
-        let (cdfg, sched, dp, cls) = synthesize(hls_workloads::sources::SQRT, 1, false);
+        let (cdfg, sched, dp) = synthesize(hls_workloads::sources::SQRT, 1, false);
         let r = simulate(
             &cdfg,
             &sched,
             &dp,
-            &cls,
             &BTreeMap::from([("X".to_string(), Fx::from_f64(0.5))]),
             false,
         )
@@ -422,13 +411,12 @@ mod tests {
 
     #[test]
     fn gcd_rtl_control_flow() {
-        let (cdfg, sched, dp, cls) = synthesize(hls_workloads::sources::GCD, 1, false);
+        let (cdfg, sched, dp) = synthesize(hls_workloads::sources::GCD, 1, false);
         for (a, b, g) in [(12, 18, 6), (35, 14, 7), (9, 9, 9)] {
             let r = simulate(
                 &cdfg,
                 &sched,
                 &dp,
-                &cls,
                 &BTreeMap::from([
                     ("A".to_string(), Fx::from_i64(a)),
                     ("B".to_string(), Fx::from_i64(b)),
@@ -442,12 +430,11 @@ mod tests {
 
     #[test]
     fn trace_records_every_cycle() {
-        let (cdfg, sched, dp, cls) = synthesize(hls_workloads::sources::SQRT, 2, true);
+        let (cdfg, sched, dp) = synthesize(hls_workloads::sources::SQRT, 2, true);
         let r = simulate(
             &cdfg,
             &sched,
             &dp,
-            &cls,
             &BTreeMap::from([("X".to_string(), Fx::from_f64(0.3))]),
             true,
         )

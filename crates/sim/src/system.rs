@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use hls_alloc::Datapath;
 use hls_cdfg::system::{chan_ok_port, chan_rx_port, chan_tx_port, shared_ld_port, shared_st_port};
 use hls_cdfg::{BlockId, Cdfg, Fx, LoopKind, Region, SyncOp, SystemCdfg};
-use hls_sched::{CdfgSchedule, OpClassifier};
+use hls_sched::CdfgSchedule;
 
 use crate::behav::{apply_width, run_block, MAX_ITERATIONS};
 use crate::rtl::Sim;
@@ -75,8 +75,6 @@ pub struct ProcessRtl<'a> {
     pub schedule: &'a CdfgSchedule,
     /// The process's bound datapath.
     pub datapath: &'a Datapath,
-    /// The classifier the schedule was produced under.
-    pub classifier: &'a OpClassifier,
 }
 
 /// A flattened, resumable control program for one process: the region
@@ -631,7 +629,7 @@ pub fn simulate_system(
     }
     let mut execs = Vec::new();
     for (p, art) in sys.processes.iter().zip(procs) {
-        let mut sim = Sim::new(&p.cdfg, art.schedule, art.datapath, art.classifier, false);
+        let mut sim = Sim::new(&p.cdfg, art.schedule, art.datapath, false);
         for (name, width) in p.cdfg.inputs() {
             if let Some(v) = inputs.get(name) {
                 sim.poke_var(name, apply_width(*v, *width))?;

@@ -70,8 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // And the synthesized datapath structure itself.
     println!(
         "DOT of the 2-FU datapath:\n{}",
-        fast.datapath
-            .to_dot(&fast.cdfg, &fast.schedule, &fast.classifier)
+        fast.datapath.to_dot(&fast.cdfg)
     );
     Ok(())
 }

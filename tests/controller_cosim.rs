@@ -67,7 +67,6 @@ fn cosim(src: &str, inputs: BTreeMap<String, Fx>) {
         &design.cdfg,
         &design.schedule,
         &design.datapath,
-        &design.classifier,
         &inputs,
         true,
     )
@@ -139,7 +138,6 @@ fn minimized_controller_still_tracks() {
         &design.cdfg,
         &design.schedule,
         &design.datapath,
-        &design.classifier,
         &BTreeMap::from([("X".to_string(), Fx::from_f64(0.6))]),
         true,
     )

@@ -146,7 +146,6 @@ fn clobbered_datapath_fails_equivalence() {
         &design.cdfg,
         &design.schedule,
         &corrupted,
-        &design.classifier,
         8,
         (0.1, 1.0),
         99,

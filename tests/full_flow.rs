@@ -127,7 +127,6 @@ fn vcd_export_of_a_full_run() {
         &design.cdfg,
         &design.schedule,
         &design.datapath,
-        &design.classifier,
         &BTreeMap::from([("X".to_string(), hls::Fx::from_f64(0.36))]),
         true,
     )
