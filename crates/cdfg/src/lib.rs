@@ -10,7 +10,8 @@
 //! The crate also provides the dense dependence structure every
 //! scheduler and allocator builds on ([`dense`]: bitsets, flat per-op maps
 //! and the CSR [`DepGraph`] with its cached topological order),
-//! fixed-point constants ([`Fx`]), and Graphviz export ([`dot`]).
+//! fixed-point constants ([`Fx`]), Graphviz export ([`dot`]), and the
+//! one mapping from CDFG names to Verilog identifiers ([`sanitize`]).
 //!
 //! ```
 //! use hls_cdfg::{DataFlowGraph, DepGraph, OpKind};
@@ -57,3 +58,26 @@ pub use fixed::{Fx, FRAC_BITS};
 pub use ids::{Arena, Id};
 pub use op::{OpId, OpKind, Operation, Value, ValueDef, ValueId};
 pub use system::{ChannelSpec, ProcessCdfg, SharedSpec, SystemCdfg};
+
+/// Makes a CDFG name (a process, variable, channel or flag such as
+/// `%exit0`) a legal Verilog identifier: every character other than a
+/// letter, digit or `_` becomes `_`, and a leading digit gets an `n`
+/// prefix. The datapath, controller and system emitters all name their
+/// ports and wires through it.
+pub fn sanitize(name: &str) -> String {
+    let cleaned: String = name
+        .chars()
+        .map(|c| {
+            if c.is_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    if cleaned.chars().next().is_some_and(|c| c.is_ascii_digit()) {
+        format!("n{cleaned}")
+    } else {
+        cleaned
+    }
+}
