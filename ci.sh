@@ -44,6 +44,19 @@ for f in crates/sched/src/*.rs crates/alloc/src/*.rs crates/ctrl/src/*.rs \
 done
 [ "$panic_check_failed" -eq 0 ] || exit 1
 
+echo "==> deterministic experiments match experiments_output.txt"
+# Every section of `experiments all` is deterministic except the four
+# wall-clock tables; drop those from both the run and the committed
+# transcript and require the rest byte-identical.
+deterministic_sections() {
+    awk '/^############ / { skip = ($2 == "table-explore" || $2 == "table-estimator" \
+        || $2 == "table-serve" || $2 == "table-serve-scaleout") } !skip'
+}
+experiments_run=$(mktemp)
+target/release/experiments all | deterministic_sections >"$experiments_run"
+deterministic_sections <experiments_output.txt | diff -u - "$experiments_run"
+rm -f "$experiments_run"
+
 echo "==> benchmark regression gate (BENCH_5.json)"
 # Short sample count for CI; the gate rescales by the calibration
 # workload, so the committed baseline transfers across machines, and an
