@@ -7,8 +7,11 @@ use hls_cdfg::{DataFlowGraph, OpId, ValueId};
 use hls_sched::{FuClass, OpClassifier, Schedule};
 
 use crate::clique::{partition_max_clique, partition_tseng, CompatGraph};
-use crate::interconnect::{source_of, Source};
+use crate::datapath::Resolver;
+use crate::error::AllocError;
+use crate::interconnect::{Connections, Sink};
 use crate::registers::RegisterAllocation;
+use crate::signal::Source;
 
 /// One allocated functional unit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,20 +90,25 @@ impl FuAllocation {
 ///
 /// With `interconnect_aware` set, each op goes to the compatible free unit
 /// whose existing connections make the assignment cheapest (new mux inputs
-/// on input ports and the result register's input); ties break toward the
-/// lowest unit index. Without it, the op takes the first free unit — the
+/// on input ports and the result register's input; operands beyond the
+/// unit's current ports are not priced); ties break toward the lowest
+/// unit index. Without it, the op takes the first free unit — the
 /// figure's "without checking for interconnection costs" strawman.
+///
+/// # Errors
+///
+/// [`AllocError::UnboundValue`] for an operand read after its own step
+/// without a register; [`AllocError::UnboundOp`] for a same-step
+/// producer not yet bound.
 pub fn greedy_allocation(
     dfg: &DataFlowGraph,
     classifier: &OpClassifier,
     schedule: &Schedule,
     regs: &RegisterAllocation,
     interconnect_aware: bool,
-) -> FuAllocation {
+) -> Result<FuAllocation, AllocError> {
     let mut alloc = FuAllocation::default();
-    // Mirror of the growing connection state.
-    let mut fu_ports: Vec<Vec<BTreeSet<Source>>> = Vec::new();
-    let mut reg_inputs: HashMap<usize, BTreeSet<Source>> = HashMap::new();
+    let mut conn = Connections::default();
     let mut fu_busy: Vec<BTreeSet<u32>> = Vec::new();
 
     for step in 0..schedule.num_steps() {
@@ -110,12 +118,14 @@ pub fn greedy_allocation(
             };
             let arity = dfg.op(op).kind.arity();
             let commutative = dfg.op(op).kind.is_commutative();
-            let sources: Vec<Source> = dfg
+            let resolver =
+                Resolver::new(dfg, classifier, schedule, &alloc.binding, &regs.assignment);
+            let sources = dfg
                 .op(op)
                 .operands
                 .iter()
-                .map(|&v| source_of(dfg, classifier, schedule, regs, &alloc.binding, v, step))
-                .collect();
+                .map(|&v| resolver.source(v, step))
+                .collect::<Result<Vec<_>, _>>()?;
             let dest = dfg.result(op).and_then(|r| regs.register_of(r));
 
             let mut best: Option<(usize, usize, bool)> = None; // (cost, fu, swap)
@@ -127,20 +137,13 @@ pub fn greedy_allocation(
                     if swap && !commutative {
                         continue;
                     }
-                    let mut cost = 0usize;
-                    for (port, src) in ordered(&sources, swap).iter().enumerate() {
-                        let set = &fu_ports[f][port.min(fu_ports[f].len().saturating_sub(1))];
-                        if !set.is_empty() && !set.contains(*src) {
-                            cost += 1;
-                        }
-                    }
+                    let mut cost: usize = ordered(&sources, swap)
+                        .take(fu.ports)
+                        .enumerate()
+                        .map(|(port, src)| conn.cost(Sink::Port { fu: f, port }, src))
+                        .sum();
                     if let Some(r) = dest {
-                        let src = Source::Wire(format!("fu{f}"));
-                        if let Some(set) = reg_inputs.get(&r) {
-                            if !set.is_empty() && !set.contains(&src) {
-                                cost += 1;
-                            }
-                        }
+                        cost += conn.cost(Sink::Reg(r), &Source::Fu(f));
                     }
                     let better = match best {
                         None => true,
@@ -166,7 +169,6 @@ pub fn greedy_allocation(
                         ops: Vec::new(),
                         ports: arity,
                     });
-                    fu_ports.push(vec![BTreeSet::new(); arity.max(1)]);
                     fu_busy.push(BTreeSet::new());
                     (alloc.fus.len() - 1, false)
                 }
@@ -175,33 +177,28 @@ pub fn greedy_allocation(
             alloc.binding.insert(op, f);
             alloc.fus[f].ops.push(op);
             alloc.fus[f].ports = alloc.fus[f].ports.max(arity);
-            while fu_ports[f].len() < arity {
-                fu_ports[f].push(BTreeSet::new());
-            }
             fu_busy[f].insert(step);
             if swap {
                 alloc.swapped.insert(op);
             }
-            for (port, src) in ordered(&sources, swap).iter().enumerate() {
-                fu_ports[f][port].insert((*src).clone());
+            for (port, src) in ordered(&sources, swap).enumerate() {
+                conn.connect(Sink::Port { fu: f, port }, src.clone());
             }
             if let Some(r) = dest {
-                reg_inputs
-                    .entry(r)
-                    .or_default()
-                    .insert(Source::Wire(format!("fu{f}")));
+                conn.connect(Sink::Reg(r), Source::Fu(f));
             }
         }
     }
-    alloc
+    Ok(alloc)
 }
 
-fn ordered(sources: &[Source], swap: bool) -> Vec<&Source> {
+/// The sources in port order, a commutative pair swapped on request.
+fn ordered(sources: &[Source], swap: bool) -> impl Iterator<Item = &Source> {
     let mut v: Vec<&Source> = sources.iter().collect();
     if swap && v.len() == 2 {
         v.swap(0, 1);
     }
-    v
+    v.into_iter()
 }
 
 /// Which clique-partitioning heuristic to use.
@@ -300,7 +297,7 @@ mod tests {
         let (g, s, cls, regs) = fig6_setup();
         let (_, ids) = fig6_graph();
         let (a1, a2, _a3, a4, m1, m2) = ids;
-        let alloc = greedy_allocation(&g, &cls, &s, &regs, true);
+        let alloc = greedy_allocation(&g, &cls, &s, &regs, true).unwrap();
         assert!(alloc.is_valid(&g, &cls, &s));
         assert_eq!(alloc.count_of(FuClass::Alu), 2, "two adders");
         assert_eq!(alloc.count_of(FuClass::Multiplier), 2, "two multipliers");
@@ -315,10 +312,14 @@ mod tests {
     #[test]
     fn fig6_aware_beats_blind_on_mux_cost() {
         let (g, s, cls, regs) = fig6_setup();
-        let aware = greedy_allocation(&g, &cls, &s, &regs, true);
-        let blind = greedy_allocation(&g, &cls, &s, &regs, false);
-        let aware_cost = crate::interconnect::connections(&g, &cls, &s, &regs, &aware).mux_inputs();
-        let blind_cost = crate::interconnect::connections(&g, &cls, &s, &regs, &blind).mux_inputs();
+        let aware = greedy_allocation(&g, &cls, &s, &regs, true).unwrap();
+        let blind = greedy_allocation(&g, &cls, &s, &regs, false).unwrap();
+        let aware_cost = crate::interconnect::connections(&g, &cls, &s, &regs, &aware)
+            .unwrap()
+            .mux_inputs();
+        let blind_cost = crate::interconnect::connections(&g, &cls, &s, &regs, &blind)
+            .unwrap()
+            .mux_inputs();
         assert!(
             aware_cost <= blind_cost,
             "aware {aware_cost} vs blind {blind_cost}"
@@ -350,7 +351,7 @@ mod tests {
         for (name, g) in hls_workloads::all_benchmarks() {
             let s = asap_schedule(&g, &cls, &ResourceLimits::unlimited()).unwrap();
             let regs = left_edge(&value_intervals(&g, &s));
-            let alloc = greedy_allocation(&g, &cls, &s, &regs, true);
+            let alloc = greedy_allocation(&g, &cls, &s, &regs, true).unwrap();
             assert!(alloc.is_valid(&g, &cls, &s), "{name}");
             for (class, bound) in fu_lower_bound(&g, &cls, &s) {
                 assert_eq!(
@@ -378,8 +379,8 @@ mod tests {
         let s =
             asap_schedule(&g, &cls, &ResourceLimits::unlimited().with(FuClass::Alu, 1)).unwrap();
         let regs = left_edge(&value_intervals(&g, &s));
-        let alloc = greedy_allocation(&g, &cls, &s, &regs, true);
-        let conn = crate::interconnect::connections(&g, &cls, &s, &regs, &alloc);
+        let alloc = greedy_allocation(&g, &cls, &s, &regs, true).unwrap();
+        let conn = crate::interconnect::connections(&g, &cls, &s, &regs, &alloc).unwrap();
         // a2's operands reuse a1's port wiring via the swap.
         if alloc.binding[&a2] == alloc.binding[&a1] {
             assert!(alloc.swapped.contains(&a2) || conn.mux_inputs() == 0);

@@ -14,9 +14,12 @@ use std::collections::{BTreeSet, HashMap};
 use hls_cdfg::{DataFlowGraph, OpId};
 use hls_sched::{FuClass, OpClassifier, Schedule};
 
+use crate::datapath::Resolver;
+use crate::error::AllocError;
 use crate::fu::{FuAllocation, FuInstance};
-use crate::interconnect::{source_of, Source};
+use crate::interconnect::{connections, Connections, Sink};
 use crate::registers::RegisterAllocation;
+use crate::signal::Source;
 
 /// Cost of one functional unit, in multiplexer-input equivalents.
 pub const FU_WEIGHT: usize = 10;
@@ -36,15 +39,19 @@ pub struct OptimalBinding {
 }
 
 /// Scores an existing allocation under the same cost model.
+///
+/// # Errors
+///
+/// As [`connections`].
 pub fn binding_cost(
     dfg: &DataFlowGraph,
     classifier: &OpClassifier,
     schedule: &Schedule,
     regs: &RegisterAllocation,
     alloc: &FuAllocation,
-) -> usize {
-    let conn = crate::interconnect::connections(dfg, classifier, schedule, regs, alloc);
-    FU_WEIGHT * alloc.count() + conn.mux_inputs()
+) -> Result<usize, AllocError> {
+    let conn = connections(dfg, classifier, schedule, regs, alloc)?;
+    Ok(FU_WEIGHT * alloc.count() + conn.mux_inputs())
 }
 
 /// Exhaustively finds the minimum-cost binding, class by class.
@@ -53,13 +60,19 @@ pub fn binding_cost(
 /// per class and the results concatenated. `node_budget` bounds the total
 /// nodes; when exceeded the best binding found so far is returned with
 /// `optimal == false`.
+///
+/// # Errors
+///
+/// [`AllocError::UnboundValue`] for an operand read after its own step
+/// without a register; [`AllocError::UnboundOp`] for an operand chained
+/// from a same-step unit, which this search does not model.
 pub fn exhaustive_binding(
     dfg: &DataFlowGraph,
     classifier: &OpClassifier,
     schedule: &Schedule,
     regs: &RegisterAllocation,
     node_budget: u64,
-) -> OptimalBinding {
+) -> Result<OptimalBinding, AllocError> {
     let mut classes: Vec<FuClass> = dfg
         .op_ids()
         .filter_map(|op| classifier.classify(dfg, op))
@@ -67,6 +80,8 @@ pub fn exhaustive_binding(
     classes.sort();
     classes.dedup();
 
+    let no_units = HashMap::new();
+    let resolver = Resolver::new(dfg, classifier, schedule, &no_units, &regs.assignment);
     let mut alloc = FuAllocation::default();
     let mut total_cost = 0;
     let mut optimal = true;
@@ -80,13 +95,24 @@ pub fn exhaustive_binding(
             v.sort_by_key(|&op| (schedule.step(op), op));
             v
         };
+        // Each op's operand sources, resolved once for the whole search.
+        let sources = ops
+            .iter()
+            .map(|&op| {
+                let step = schedule.step(op).unwrap_or(0);
+                dfg.op(op)
+                    .operands
+                    .iter()
+                    .map(|&v| resolver.source(v, step))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let mut search = Search {
             dfg,
-            classifier,
             schedule,
-            regs,
             ops: &ops,
-            class,
+            sources: &sources,
+            conn: Connections::default(),
             best: None,
             best_cost: usize::MAX,
             nodes: 0,
@@ -97,7 +123,7 @@ pub fn exhaustive_binding(
                 .max(ops.len() as u64 + 2),
         };
         let mut units: Vec<Unit> = Vec::new();
-        search.dfs(0, 0, &mut units);
+        search.dfs(0, &mut units);
         nodes_used += search.nodes;
         optimal &= search.nodes < search.budget;
         total_cost += search.best_cost;
@@ -109,7 +135,7 @@ pub fn exhaustive_binding(
                 .map(|&op| Unit {
                     ops: vec![op],
                     steps: schedule.step(op).into_iter().collect(),
-                    ports: Vec::new(),
+                    ports: 0,
                 })
                 .collect()
         });
@@ -130,28 +156,30 @@ pub fn exhaustive_binding(
             });
         }
     }
-    OptimalBinding {
+    Ok(OptimalBinding {
         alloc,
         cost: total_cost,
         optimal,
         nodes: nodes_used,
-    }
+    })
 }
 
 #[derive(Clone, Debug)]
 struct Unit {
     ops: Vec<OpId>,
     steps: BTreeSet<u32>,
-    ports: Vec<BTreeSet<Source>>,
+    /// Input ports, fixed by the op that opened the unit.
+    ports: usize,
 }
 
 struct Search<'a> {
     dfg: &'a DataFlowGraph,
-    classifier: &'a OpClassifier,
     schedule: &'a Schedule,
-    regs: &'a RegisterAllocation,
     ops: &'a [OpId],
-    class: FuClass,
+    /// Per op (as `ops`), its operand sources.
+    sources: &'a [Vec<Source>],
+    /// The wiring of the units placed so far, by unit index.
+    conn: Connections,
     best: Option<Vec<Unit>>,
     best_cost: usize,
     nodes: u64,
@@ -159,11 +187,12 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    fn dfs(&mut self, idx: usize, cost: usize, units: &mut Vec<Unit>) {
+    fn dfs(&mut self, idx: usize, units: &mut Vec<Unit>) {
         if self.nodes >= self.budget {
             return;
         }
         self.nodes += 1;
+        let cost = FU_WEIGHT * units.len() + self.conn.mux_inputs();
         if cost >= self.best_cost {
             return;
         }
@@ -174,75 +203,51 @@ impl Search<'_> {
         }
         let op = self.ops[idx];
         let step = self.schedule.step(op).unwrap_or(0);
-        let binding = HashMap::new(); // same-step producers impossible here
-        let sources: Vec<Source> = self
-            .dfg
-            .op(op)
-            .operands
-            .iter()
-            .map(|&v| {
-                source_of(
-                    self.dfg,
-                    self.classifier,
-                    self.schedule,
-                    self.regs,
-                    &binding,
-                    v,
-                    step,
-                )
-            })
-            .collect();
-        let _ = self.class;
-
         for u in 0..units.len() {
             if units[u].steps.contains(&step) {
                 continue;
             }
-            let mut added = 0;
-            for (port, src) in sources.iter().enumerate() {
-                if port < units[u].ports.len() {
-                    let set = &units[u].ports[port];
-                    if !set.is_empty() && !set.contains(src) {
-                        added += 1;
-                    }
-                }
-            }
-            // Commit.
             units[u].ops.push(op);
             units[u].steps.insert(step);
-            let inserted: Vec<bool> = sources
-                .iter()
-                .enumerate()
-                .map(|(port, src)| {
-                    port < units[u].ports.len() && units[u].ports[port].insert(src.clone())
-                })
-                .collect();
-            self.dfs(idx + 1, cost + added, units);
-            // Undo.
-            for (port, src) in sources.iter().enumerate() {
-                if inserted[port] {
-                    units[u].ports[port].remove(src);
-                }
-            }
+            let wired = self.wire(idx, u, units[u].ports);
+            self.dfs(idx + 1, units);
+            self.unwire(idx, u, &wired);
             units[u].steps.remove(&step);
             units[u].ops.pop();
         }
 
         // New unit (symmetry-broken: only ever append one new unit).
-        let arity = self.dfg.op(op).kind.arity().max(1);
-        let mut unit = Unit {
+        let ports = self.dfg.op(op).kind.arity().max(1);
+        units.push(Unit {
             ops: vec![op],
             steps: BTreeSet::from([step]),
-            ports: vec![BTreeSet::new(); arity],
-        };
-        for (port, src) in sources.iter().enumerate() {
-            if port < unit.ports.len() {
-                unit.ports[port].insert(src.clone());
+            ports,
+        });
+        let wired = self.wire(idx, units.len() - 1, ports);
+        self.dfs(idx + 1, units);
+        self.unwire(idx, units.len() - 1, &wired);
+        units.pop();
+    }
+
+    /// Wires op `idx`'s sources into the first `ports` ports of unit `u`;
+    /// returns which wires are new.
+    fn wire(&mut self, idx: usize, u: usize, ports: usize) -> Vec<bool> {
+        self.sources[idx]
+            .iter()
+            .take(ports)
+            .enumerate()
+            .map(|(port, src)| self.conn.connect(Sink::Port { fu: u, port }, src.clone()))
+            .collect()
+    }
+
+    /// Takes back the new wires of [`Search::wire`].
+    fn unwire(&mut self, idx: usize, u: usize, wired: &[bool]) {
+        let sources = self.sources;
+        for ((port, src), &new) in sources[idx].iter().enumerate().zip(wired) {
+            if new {
+                self.conn.disconnect(Sink::Port { fu: u, port }, src);
             }
         }
-        units.push(unit);
-        self.dfs(idx + 1, cost + FU_WEIGHT, units);
-        units.pop();
     }
 }
 
@@ -261,11 +266,11 @@ mod tests {
         let cls = OpClassifier::typed();
         let s = asap_schedule(&g, &cls, &ResourceLimits::unlimited()).unwrap();
         let regs = left_edge(&value_intervals(&g, &s));
-        let opt = exhaustive_binding(&g, &cls, &s, &regs, 5_000_000);
+        let opt = exhaustive_binding(&g, &cls, &s, &regs, 5_000_000).unwrap();
         assert!(opt.optimal);
         assert!(opt.alloc.is_valid(&g, &cls, &s));
-        let greedy = greedy_allocation(&g, &cls, &s, &regs, true);
-        let greedy_cost = binding_cost(&g, &cls, &s, &regs, &greedy);
+        let greedy = greedy_allocation(&g, &cls, &s, &regs, true).unwrap();
+        let greedy_cost = binding_cost(&g, &cls, &s, &regs, &greedy).unwrap();
         assert!(opt.cost <= greedy_cost, "{} vs {greedy_cost}", opt.cost);
         // Greedy is near-optimal on Fig. 6: same unit count, within a couple
         // of mux inputs of the exhaustive optimum.
@@ -284,10 +289,10 @@ mod tests {
         )
         .unwrap();
         let regs = left_edge(&value_intervals(&g, &s));
-        let opt = exhaustive_binding(&g, &cls, &s, &regs, 5_000_000);
+        let opt = exhaustive_binding(&g, &cls, &s, &regs, 5_000_000).unwrap();
         assert!(opt.alloc.is_valid(&g, &cls, &s));
-        let greedy = greedy_allocation(&g, &cls, &s, &regs, true);
-        assert!(opt.cost <= binding_cost(&g, &cls, &s, &regs, &greedy));
+        let greedy = greedy_allocation(&g, &cls, &s, &regs, true).unwrap();
+        assert!(opt.cost <= binding_cost(&g, &cls, &s, &regs, &greedy).unwrap());
     }
 
     #[test]
@@ -296,7 +301,7 @@ mod tests {
         let cls = OpClassifier::typed();
         let s = asap_schedule(&g, &cls, &ResourceLimits::unlimited()).unwrap();
         let regs = left_edge(&value_intervals(&g, &s));
-        let opt = exhaustive_binding(&g, &cls, &s, &regs, 500);
+        let opt = exhaustive_binding(&g, &cls, &s, &regs, 500).unwrap();
         assert!(!opt.optimal);
         // Still returns a usable binding.
         assert!(opt.alloc.is_valid(&g, &cls, &s));

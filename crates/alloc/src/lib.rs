@@ -14,6 +14,14 @@
 //! * [`build_datapath`] — whole-behavior datapath assembly: each operand
 //!   resolved once to a [`Source`], each step's control [`Signal`]s
 //!   recorded for the controller, the RTL simulator and netlist export.
+//!
+//! The binders, the interconnect views and [`build_datapath`] share one
+//! operand-source model: one resolver turns an operand into a [`Source`],
+//! and [`Connections`] holds the one wiring price (a source new to a sink
+//! that other sources already drive costs one mux input). A value read
+//! without its register, or a same-step producer without a unit, is an
+//! [`AllocError`], so every binder and view but clique partitioning
+//! returns a `Result`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,7 +46,7 @@ pub use fu::{
     clique_allocation, fu_lower_bound, greedy_allocation, CliqueMethod, FuAllocation, FuInstance,
 };
 pub use ilp::{binding_cost, exhaustive_binding, OptimalBinding, FU_WEIGHT};
-pub use interconnect::{bus_allocation, connections, source_of, BusReport, Connections};
+pub use interconnect::{bus_allocation, connections, BusReport, Connections};
 pub use lifetime::{max_live, render_gantt, value_intervals, Interval};
 pub use registers::{color_registers, left_edge, minimum_registers, RegisterAllocation};
 pub use signal::{Signal, Source};

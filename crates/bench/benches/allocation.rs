@@ -43,10 +43,10 @@ fn fu_binding() {
         .expect("schedules");
         let regs = left_edge(&value_intervals(&g, &s));
         group.bench("greedy_aware", ops, || {
-            greedy_allocation(&g, &cls, &s, &regs, true)
+            greedy_allocation(&g, &cls, &s, &regs, true).expect("binds")
         });
         group.bench("greedy_blind", ops, || {
-            greedy_allocation(&g, &cls, &s, &regs, false)
+            greedy_allocation(&g, &cls, &s, &regs, false).expect("binds")
         });
         group.bench("clique_tseng", ops, || {
             clique_allocation(&g, &cls, &s, CliqueMethod::Tseng)

@@ -195,7 +195,7 @@ fn fig6() {
     let cls = OpClassifier::typed();
     let s = asap_schedule(&g, &cls, &ResourceLimits::unlimited()).expect("asap");
     let regs = left_edge(&value_intervals(&g, &s));
-    let aware = greedy_allocation(&g, &cls, &s, &regs, true);
+    let aware = greedy_allocation(&g, &cls, &s, &regs, true).expect("greedy");
     println!("interconnect-aware assignment:");
     for (op, label) in [
         (a1, "a1"),
@@ -208,9 +208,13 @@ fn fig6() {
         let f = aware.binding[&op];
         println!("  {label} -> {} {}", aware.fus[f].class, f);
     }
-    let aware_cost = connections(&g, &cls, &s, &regs, &aware).mux_inputs();
-    let blind = greedy_allocation(&g, &cls, &s, &regs, false);
-    let blind_cost = connections(&g, &cls, &s, &regs, &blind).mux_inputs();
+    let aware_cost = connections(&g, &cls, &s, &regs, &aware)
+        .expect("connections")
+        .mux_inputs();
+    let blind = greedy_allocation(&g, &cls, &s, &regs, false).expect("greedy");
+    let blind_cost = connections(&g, &cls, &s, &regs, &blind)
+        .expect("connections")
+        .mux_inputs();
     println!("\nmux inputs, interconnect-aware : {aware_cost}");
     println!("mux inputs, cost-blind         : {blind_cost}");
     println!("(paper: ignoring interconnection costs makes the final multiplexing more");
@@ -316,33 +320,21 @@ fn table_alloc() {
     for (bench, g) in hls_workloads::all_benchmarks() {
         let s = list_schedule(&g, &cls, &limits, Priority::PathLength).expect("schedule");
         let regs = left_edge(&value_intervals(&g, &s));
-        let greedy = binding_cost(
+        let cost = |alloc| binding_cost(&g, &cls, &s, &regs, &alloc).expect("binding cost");
+        let greedy = cost(greedy_allocation(&g, &cls, &s, &regs, true).expect("greedy"));
+        let blind = cost(greedy_allocation(&g, &cls, &s, &regs, false).expect("greedy"));
+        let clique = cost(clique_allocation(
             &g,
             &cls,
             &s,
-            &regs,
-            &greedy_allocation(&g, &cls, &s, &regs, true),
-        );
-        let blind = binding_cost(
-            &g,
-            &cls,
-            &s,
-            &regs,
-            &greedy_allocation(&g, &cls, &s, &regs, false),
-        );
-        let clique = binding_cost(
-            &g,
-            &cls,
-            &s,
-            &regs,
-            &clique_allocation(&g, &cls, &s, CliqueMethod::ExactMaxClique),
-        );
+            CliqueMethod::ExactMaxClique,
+        ));
         let budget = if g.live_op_count() <= 16 {
             3_000_000
         } else {
             60_000
         };
-        let opt = exhaustive_binding(&g, &cls, &s, &regs, budget);
+        let opt = exhaustive_binding(&g, &cls, &s, &regs, budget).expect("exhaustive");
         println!(
             "{bench:<12} {greedy:>8} {blind:>8} {clique:>8} {:>11} {:>9}",
             opt.cost,
@@ -366,9 +358,9 @@ fn table_interconnect() {
     for (bench, g) in hls_workloads::all_benchmarks() {
         let s = list_schedule(&g, &cls, &limits, Priority::PathLength).expect("schedule");
         let regs = left_edge(&value_intervals(&g, &s));
-        let fus = greedy_allocation(&g, &cls, &s, &regs, true);
-        let conn = connections(&g, &cls, &s, &regs, &fus);
-        let bus = bus_allocation(&g, &cls, &s, &regs, &fus);
+        let fus = greedy_allocation(&g, &cls, &s, &regs, true).expect("greedy");
+        let conn = connections(&g, &cls, &s, &regs, &fus).expect("connections");
+        let bus = bus_allocation(&g, &cls, &s, &regs, &fus).expect("buses");
         println!(
             "{bench:<12} {:>6} {:>9} {:>9} | {:>6} {:>8} {:>6} {:>10}",
             conn.wire_count(),

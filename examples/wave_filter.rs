@@ -51,9 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with(FuClass::Multiplier, 2);
     let s = list_schedule(&g, &cls, &limits, Priority::PathLength)?;
     let regs = left_edge(&value_intervals(&g, &s));
-    let fus = greedy_allocation(&g, &cls, &s, &regs, true);
-    let conn = connections(&g, &cls, &s, &regs, &fus);
-    let bus = bus_allocation(&g, &cls, &s, &regs, &fus);
+    let fus = greedy_allocation(&g, &cls, &s, &regs, true)?;
+    let conn = connections(&g, &cls, &s, &regs, &fus)?;
+    let bus = bus_allocation(&g, &cls, &s, &regs, &fus)?;
     println!("\ninterconnect (2 ALUs + 2 multipliers):");
     println!("  registers           : {}", regs.count);
     println!(

@@ -87,7 +87,7 @@ fn e6_greedy_allocation_choices() {
     let cls = OpClassifier::typed();
     let s = asap_schedule(&g, &cls, &ResourceLimits::unlimited()).unwrap();
     let regs = left_edge(&value_intervals(&g, &s));
-    let alloc = greedy_allocation(&g, &cls, &s, &regs, true);
+    let alloc = greedy_allocation(&g, &cls, &s, &regs, true).unwrap();
     assert_ne!(alloc.binding[&a1], alloc.binding[&a2]);
     assert_eq!(alloc.binding[&a4], alloc.binding[&a1]);
 }

@@ -130,7 +130,7 @@ fn fu_allocation_valid_on_random_dags() {
             let s = list_schedule(&g, &cls, &ResourceLimits::unlimited(), Priority::PathLength)
                 .unwrap();
             let regs = left_edge(&value_intervals(&g, &s));
-            let alloc = greedy_allocation(&g, &cls, &s, &regs, true);
+            let alloc = greedy_allocation(&g, &cls, &s, &regs, true).unwrap();
             assert!(alloc.is_valid(&g, &cls, &s));
             for (class, bound) in fu_lower_bound(&g, &cls, &s) {
                 assert_eq!(alloc.count_of(class), bound);
