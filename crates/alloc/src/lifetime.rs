@@ -46,6 +46,10 @@ impl Interval {
 /// Values with no storage need are omitted.
 pub fn value_intervals(dfg: &DataFlowGraph, schedule: &Schedule) -> Vec<Interval> {
     let last_step = schedule.num_steps().saturating_sub(1);
+    let mut is_output = vec![false; dfg.value_capacity()];
+    for &(_, v) in dfg.outputs() {
+        is_output[v.index()] = true;
+    }
     let mut out = Vec::new();
     for v in dfg.value_ids() {
         let val = dfg.value(v);
@@ -74,8 +78,7 @@ pub fn value_intervals(dfg: &DataFlowGraph, schedule: &Schedule) -> Vec<Interval
                 }
             }
         }
-        let is_output = dfg.outputs().iter().any(|(_, ov)| *ov == v);
-        if is_output {
+        if is_output[v.index()] {
             end = Some(end.map_or(last_step.max(start), |e: u32| e.max(last_step).max(start)));
         }
         if let Some(end) = end {

@@ -1,9 +1,7 @@
 //! Register allocation: the left-edge algorithm (REAL — tutorial
 //! reference [15]) and graph coloring.
 
-use std::collections::HashMap;
-
-use hls_cdfg::ValueId;
+use hls_cdfg::{DenseMap, ValueId};
 
 use crate::lifetime::{max_live, Interval};
 
@@ -11,7 +9,7 @@ use crate::lifetime::{max_live, Interval};
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RegisterAllocation {
     /// Register index per value.
-    pub assignment: HashMap<ValueId, usize>,
+    pub assignment: DenseMap<ValueId, usize>,
     /// Number of registers used.
     pub count: usize,
 }
@@ -19,21 +17,21 @@ pub struct RegisterAllocation {
 impl RegisterAllocation {
     /// The register holding `value`, if stored.
     pub fn register_of(&self, value: ValueId) -> Option<usize> {
-        self.assignment.get(&value).copied()
+        self.assignment.get(value).copied()
     }
 
     /// Checks that no two values sharing a register overlap.
     pub fn is_valid(&self, intervals: &[Interval]) -> bool {
         for (i, a) in intervals.iter().enumerate() {
             for b in &intervals[i + 1..] {
-                if self.assignment.get(&a.value) == self.assignment.get(&b.value) && a.overlaps(b) {
+                if self.assignment.get(a.value) == self.assignment.get(b.value) && a.overlaps(b) {
                     return false;
                 }
             }
         }
         intervals
             .iter()
-            .all(|i| self.assignment.contains_key(&i.value))
+            .all(|i| self.assignment.get(i.value).is_some())
     }
 }
 
@@ -46,7 +44,8 @@ pub fn left_edge(intervals: &[Interval]) -> RegisterAllocation {
     let mut sorted: Vec<&Interval> = intervals.iter().collect();
     sorted.sort_by_key(|i| (i.start, i.end, i.value));
     let mut reg_free_at: Vec<u32> = Vec::new(); // first step each register is free again
-    let mut assignment = HashMap::new();
+    let slots = intervals.iter().map(|i| i.value.index() + 1).max();
+    let mut assignment = DenseMap::with_len(slots.unwrap_or(0));
     for iv in sorted {
         let slot = reg_free_at.iter().position(|&free| free <= iv.start);
         let reg = match slot {
@@ -101,13 +100,14 @@ pub fn color_registers(intervals: &[Interval]) -> RegisterAllocation {
         color[i] = Some(c);
         count = count.max(c + 1);
     }
-    // The loop above colored every index; filter_map keeps this total
+    // The loop above colored every index; the `if let` keeps this total
     // without a panicking path.
-    let assignment = intervals
-        .iter()
-        .enumerate()
-        .filter_map(|(i, iv)| color[i].map(|c| (iv.value, c)))
-        .collect();
+    let mut assignment = DenseMap::default();
+    for (iv, c) in intervals.iter().zip(color) {
+        if let Some(c) = c {
+            assignment.insert(iv.value, c);
+        }
+    }
     RegisterAllocation { assignment, count }
 }
 

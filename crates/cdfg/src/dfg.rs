@@ -176,6 +176,11 @@ impl DataFlowGraph {
         self.ops.len()
     }
 
+    /// Number of value slots ever allocated (see [`Self::op_capacity`]).
+    pub fn value_capacity(&self) -> usize {
+        self.values.len()
+    }
+
     /// Number of data arcs between live operations.
     pub fn edge_count(&self) -> usize {
         self.op_ids()

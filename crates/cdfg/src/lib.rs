@@ -51,7 +51,7 @@ mod op;
 pub mod system;
 
 pub use cdfg::{Block, BlockId, Cdfg, IfRegion, LoopKind, LoopRegion, Region, SyncOp};
-pub use dense::{BitSet, DenseOpMap, DepGraph, OpSet};
+pub use dense::{BitSet, DenseMap, DepGraph};
 pub use dfg::DataFlowGraph;
 pub use error::CdfgError;
 pub use fixed::{Fx, FRAC_BITS};

@@ -6,7 +6,7 @@
 //! the FSM — the interface to the data part — have been determined as part
 //! of the allocation, the FSM can be synthesized using known methods" (§2).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use hls_alloc::{Datapath, Signal};
 use hls_cdfg::{BlockId, Cdfg, LoopKind, Region, SyncOp};
@@ -153,7 +153,7 @@ pub fn build_fsm(
         cdfg,
         schedule,
         datapath,
-        index: HashMap::new(),
+        index: vec![None; datapath.signals.len()],
         fsm: Fsm::default(),
     };
     let (entry, exits) = b.emit_region(cdfg.body())?;
@@ -190,8 +190,9 @@ struct Builder<'a> {
     cdfg: &'a Cdfg,
     schedule: &'a CdfgSchedule,
     datapath: &'a Datapath,
-    /// Position of each recorded signal in `fsm.signals`.
-    index: HashMap<&'a Signal, usize>,
+    /// Per entry of the datapath's signal table, its position in
+    /// `fsm.signals` once a state asserts it.
+    index: Vec<Option<usize>>,
     fsm: Fsm,
 }
 
@@ -323,15 +324,22 @@ impl Builder<'_> {
         }
         let first = self.fsm.states.len();
         for step in 0..steps.max(1) {
-            let recorded = binding.signals.get(step as usize).into_iter().flatten();
-            let mut signals: Vec<usize> = recorded
-                .map(|signal| {
-                    *self.index.entry(signal).or_insert_with(|| {
-                        self.fsm.signals.push(signal.clone());
-                        self.fsm.signals.len() - 1
-                    })
-                })
-                .collect();
+            let recorded: &[usize] = binding
+                .signals
+                .get(step as usize)
+                .map_or(&[], Vec::as_slice);
+            let mut signals = Vec::with_capacity(recorded.len());
+            for &entry in recorded {
+                let (Some(slot), Some(signal)) =
+                    (self.index.get_mut(entry), self.datapath.signals.get(entry))
+                else {
+                    return Err(missing());
+                };
+                signals.push(*slot.get_or_insert_with(|| {
+                    self.fsm.signals.push(signal.clone());
+                    self.fsm.signals.len() - 1
+                }));
+            }
             signals.sort_unstable();
             signals.dedup();
             let id = self.fsm.states.len();

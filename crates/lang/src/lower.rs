@@ -720,8 +720,13 @@ impl<'a> Lowerer<'a> {
                 let mut v = self.lower_expr(ctx, expr, &mut Vec::new())?;
                 // A bare constant or variable on the RHS is a register
                 // transfer: materialize it as a Copy op (it costs a
-                // control step).
-                if matches!(expr, Expr::Num(_) | Expr::Var(_)) {
+                // control step). So is a value that already belongs to
+                // another variable (`X := id(Y)` with `id(a) = a`):
+                // renaming it would take it from that variable.
+                let owner = &ctx.dfg.value(v).name;
+                if matches!(expr, Expr::Num(_) | Expr::Var(_))
+                    || !(owner.is_empty() || owner == name)
+                {
                     let cp = ctx.dfg.add_op(OpKind::Copy, vec![v]);
                     v = ctx.dfg.result(cp).expect("copy has a result");
                 }
@@ -1407,7 +1412,7 @@ fn eval_cmp(op: BinOp, a: Fx, b: Fx) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hls_cdfg::Region;
+    use hls_cdfg::{Region, ValueDef};
 
     const SQRT: &str = "
         program sqrt;
@@ -1423,6 +1428,28 @@ mod tests {
           until I > 3;
         end.
     ";
+
+    /// `X := id(Y)` copies `Y`'s input instead of renaming it, so the
+    /// input keeps its name and `X` leaves the block on the copy.
+    #[test]
+    fn passthrough_call_copies_the_argument() {
+        let cdfg = compile(
+            "program t; input Y; output X;
+             function id(a) = a;
+             begin X := id(Y); end",
+        )
+        .unwrap();
+        let dfg = &cdfg.block(cdfg.block_order()[0]).dfg;
+        let input = dfg.inputs()[0];
+        assert_eq!(dfg.value(input).name, "Y");
+        let (name, out) = &dfg.outputs()[0];
+        assert_eq!(name, "X");
+        let ValueDef::Op(copy) = dfg.value(*out).def else {
+            panic!("X is an op result");
+        };
+        assert_eq!(dfg.op(copy).kind, OpKind::Copy);
+        assert_eq!(dfg.op(copy).operands, vec![input]);
+    }
 
     #[test]
     fn sqrt_structure() {

@@ -17,8 +17,8 @@ pub struct AreaReport {
     pub cell_area: f64,
     /// Wiring estimate.
     pub wiring_area: f64,
-    /// Area per cell class.
-    pub by_class: BTreeMap<String, f64>,
+    /// Area per cell class, keyed by [`CellClass::name`].
+    pub by_class: BTreeMap<&'static str, f64>,
     /// Estimated minimum clock period: slowest combinational cell + mux +
     /// register overhead.
     pub clock_ns: f64,
@@ -54,7 +54,7 @@ impl std::fmt::Display for AreaReport {
 /// to avoid surprises.
 pub fn estimate(netlist: &Netlist, library: &Library) -> AreaReport {
     let mut cell_area = 0.0;
-    let mut by_class: BTreeMap<String, f64> = BTreeMap::new();
+    let mut by_class: BTreeMap<&'static str, f64> = BTreeMap::new();
     let mut worst_comb: f64 = 0.0;
     let mut reg_delay: f64 = 0.0;
     let mut mux_delay: f64 = 0.0;
@@ -64,9 +64,7 @@ pub fn estimate(netlist: &Netlist, library: &Library) -> AreaReport {
         };
         let a = cell.area(inst.width);
         cell_area += a;
-        *by_class
-            .entry(format!("{:?}", cell.class).to_lowercase())
-            .or_insert(0.0) += a;
+        *by_class.entry(cell.class.name()).or_insert(0.0) += a;
         let d = cell.delay(inst.width);
         match cell.class {
             CellClass::Register => reg_delay = reg_delay.max(d),

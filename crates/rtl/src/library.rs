@@ -36,6 +36,23 @@ pub enum CellClass {
 }
 
 impl CellClass {
+    /// The class's report name: its variant name in lower case.
+    pub fn name(self) -> &'static str {
+        match self {
+            CellClass::Alu => "alu",
+            CellClass::Multiplier => "multiplier",
+            CellClass::Divider => "divider",
+            CellClass::Shifter => "shifter",
+            CellClass::Comparator => "comparator",
+            CellClass::Logic => "logic",
+            CellClass::Universal => "universal",
+            CellClass::Register => "register",
+            CellClass::Mux => "mux",
+            CellClass::BusDriver => "busdriver",
+            CellClass::Memory => "memory",
+        }
+    }
+
     /// `true` when the cell can execute `kind`.
     pub fn executes(self, kind: OpKind) -> bool {
         use OpKind::*;

@@ -3,6 +3,7 @@
 //! "Structure refers to the set of interconnected components that make up
 //! the system — something like a netlist" (§1.1).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 
 use hls_cdfg::{Arena, Id};
@@ -49,11 +50,11 @@ pub struct Instance {
     /// Instance name (unique).
     pub name: String,
     /// Library cell name (e.g. `"add_ripple"`).
-    pub cell: String,
+    pub cell: Cow<'static, str>,
     /// Data width of this instance.
     pub width: u8,
     /// Pin connections as `(pin_name, net)` pairs.
-    pub pins: Vec<(String, NetId)>,
+    pub pins: Vec<(Cow<'static, str>, NetId)>,
 }
 
 /// An RT-level netlist.
@@ -125,18 +126,19 @@ impl Netlist {
     }
 
     /// Adds a net and returns its id.
-    pub fn add_net(&mut self, name: &str, width: u8) -> NetId {
+    pub fn add_net(&mut self, name: impl Into<String>, width: u8) -> NetId {
         self.nets.alloc(Net {
-            name: name.to_string(),
+            name: name.into(),
             width,
         })
     }
 
     /// Adds a top-level port (and its net), returning the net id.
-    pub fn add_port(&mut self, name: &str, dir: PortDir, width: u8) -> NetId {
-        let net = self.add_net(name, width);
+    pub fn add_port(&mut self, name: impl Into<String>, dir: PortDir, width: u8) -> NetId {
+        let name = name.into();
+        let net = self.add_net(name.clone(), width);
         self.ports.push(Port {
-            name: name.to_string(),
+            name,
             dir,
             width,
             net,
@@ -147,14 +149,14 @@ impl Netlist {
     /// Adds a cell instance.
     pub fn add_instance(
         &mut self,
-        name: &str,
-        cell: &str,
+        name: impl Into<String>,
+        cell: impl Into<Cow<'static, str>>,
         width: u8,
-        pins: Vec<(String, NetId)>,
+        pins: Vec<(Cow<'static, str>, NetId)>,
     ) -> InstanceId {
         self.instances.alloc(Instance {
-            name: name.to_string(),
-            cell: cell.to_string(),
+            name: name.into(),
+            cell: cell.into(),
             width,
             pins,
         })
@@ -189,7 +191,7 @@ impl Netlist {
     pub fn census(&self) -> BTreeMap<String, usize> {
         let mut out = BTreeMap::new();
         for (_, inst) in self.instances.iter() {
-            *out.entry(inst.cell.clone()).or_insert(0) += 1;
+            *out.entry(inst.cell.to_string()).or_insert(0) += 1;
         }
         out
     }

@@ -209,6 +209,12 @@ pub(crate) fn run_block(
     let order = dfg.topological_order().map_err(|e| SimError::BadGraph {
         detail: e.to_string(),
     })?;
+    // Topological order computes every operand first, unless malformed.
+    let value = |values: &HashMap<ValueId, Fx>, v: ValueId| {
+        values.get(&v).copied().ok_or_else(|| SimError::BadGraph {
+            detail: format!("value v{} read before it is computed", v.index()),
+        })
+    };
     for id in order {
         let op = dfg.op(id);
         *ops += 1;
@@ -216,7 +222,7 @@ pub(crate) fn run_block(
             OpKind::Const => op.constant.unwrap_or_default(),
             OpKind::Load => {
                 let mem = op.memory.as_deref().unwrap_or("");
-                let addr = values[&op.operands[0]].to_i64();
+                let addr = value(&values, op.operands[0])?.to_i64();
                 memories
                     .get(mem)
                     .and_then(|m| m.get(&addr))
@@ -225,13 +231,17 @@ pub(crate) fn run_block(
             }
             OpKind::Store => {
                 let mem = op.memory.clone().unwrap_or_default();
-                let addr = values[&op.operands[0]].to_i64();
-                let data = values[&op.operands[1]];
+                let addr = value(&values, op.operands[0])?.to_i64();
+                let data = value(&values, op.operands[1])?;
                 memories.entry(mem).or_default().insert(addr, data);
                 Fx::ZERO // the next memory-state token
             }
             kind => {
-                let args: Vec<Fx> = op.operands.iter().map(|v| values[v]).collect();
+                let args: Vec<Fx> = op
+                    .operands
+                    .iter()
+                    .map(|&v| value(&values, v))
+                    .collect::<Result<_, _>>()?;
                 eval_op(kind, &args)?
             }
         };
@@ -241,7 +251,7 @@ pub(crate) fn run_block(
         }
     }
     for (name, v) in dfg.outputs() {
-        env.insert(name.clone(), values[v]);
+        env.insert(name.clone(), value(&values, *v)?);
     }
     Ok(())
 }

@@ -212,7 +212,7 @@ fn abs_block(dfg: &DataFlowGraph, env: &mut HashMap<String, Option<Fx>>) {
             OpKind::Load => None,
             OpKind::Store => Some(Fx::ZERO),
             kind => {
-                let args: Option<Vec<Fx>> = op.operands.iter().map(|v| values[v]).collect();
+                let args: Option<Vec<Fx>> = op.operands.iter().map(|v| *values.get(v)?).collect();
                 args.and_then(|a| eval_op(kind, &a).ok())
             }
         };
@@ -222,7 +222,7 @@ fn abs_block(dfg: &DataFlowGraph, env: &mut HashMap<String, Option<Fx>>) {
         }
     }
     for (name, v) in dfg.outputs() {
-        env.insert(name.clone(), values[v]);
+        env.insert(name.clone(), values.get(v).copied().flatten());
     }
 }
 
@@ -260,21 +260,27 @@ fn replay(sys: &SystemCdfg, traces: &[Vec<TraceOp>]) -> DeadlockVerdict {
                 }
                 continue;
             }
+            // Every buffered channel's queue is seeded above.
+            let Some(queue) = queues.get_mut(chan.name.as_str()) else {
+                return DeadlockVerdict::Unknown {
+                    reason: format!("channel `{}` has no queue", chan.name),
+                };
+            };
             if let Some(s) = chan.sender {
                 if matches!(at(&pcs, s, traces), Some(TraceOp::Send(c)) if c == chan.name)
-                    && queues[chan.name.as_str()] < chan.depth
+                    && *queue < chan.depth
                 {
                     pcs[s] += 1;
-                    *queues.get_mut(chan.name.as_str()).expect("seeded") += 1;
+                    *queue += 1;
                     granted = true;
                 }
             }
             if let Some(r) = chan.receiver {
                 if matches!(at(&pcs, r, traces), Some(TraceOp::Recv(c)) if c == chan.name)
-                    && queues[chan.name.as_str()] > 0
+                    && *queue > 0
                 {
                     pcs[r] += 1;
-                    *queues.get_mut(chan.name.as_str()).expect("seeded") -= 1;
+                    *queue -= 1;
                     granted = true;
                 }
             }

@@ -187,16 +187,16 @@ impl<'a> Sim<'a> {
                 detail: format!("no binding for block `{}`", self.cdfg.block(block).name),
             })?;
         let steps = sched.num_steps();
+        // Each step evaluates its ops in topological order (chained free
+        // ops may depend on step ops in the same cycle).
+        let order = dfg.topological_order().map_err(|e| SimError::BadGraph {
+            detail: e.to_string(),
+        })?;
         // Combinational values computed this step, before the clock edge.
         let mut computed: HashMap<ValueId, Fx> = HashMap::new();
         for step in 0..steps {
             computed.clear();
-            // Evaluate this step's ops in topological order (chained free
-            // ops may depend on step ops in the same cycle).
-            let order = dfg.topological_order().map_err(|e| SimError::BadGraph {
-                detail: e.to_string(),
-            })?;
-            for op in order {
+            for &op in &order {
                 if sched.step(op) != Some(step) {
                     continue;
                 }
@@ -262,7 +262,7 @@ impl<'a> Sim<'a> {
             }
             // Clock edge: commit computed values to their registers.
             for (&v, &x) in &computed {
-                if let Some(&r) = binding.value_reg.get(&v) {
+                if let Some(&r) = binding.value_reg.get(v) {
                     self.regs[r] = x;
                 }
             }
@@ -325,7 +325,7 @@ impl<'a> Sim<'a> {
                     let r =
                         *binding
                             .value_reg
-                            .get(&value)
+                            .get(value)
                             .ok_or_else(|| SimError::UnboundValue {
                                 detail: format!(
                                     "value v{} crosses steps without a register",

@@ -423,7 +423,13 @@ impl<'a, E: ProcExec> Driver<'a, E> {
                     .max(self.mutex_free.get(&var).copied().unwrap_or(0));
                 self.execs[pi].set_clock(t0);
                 if read {
-                    let v = self.shared_vals[&var];
+                    let v =
+                        self.shared_vals
+                            .get(&var)
+                            .copied()
+                            .ok_or_else(|| SimError::BadGraph {
+                                detail: format!("shared `{var}` has no value"),
+                            })?;
                     self.execs[pi].write(&shared_ld_port(&var), v)?;
                 }
                 self.exec_sync(pi, p.block)?;

@@ -29,6 +29,25 @@ fn every_source_flows_under_defaults() {
     }
 }
 
+/// A call that returns its argument hands the assignment a value that
+/// already belongs to another variable; the lowering copies it, so both
+/// variables keep their own values and the design co-simulates.
+#[test]
+fn passthrough_call_cosimulates() {
+    let src = "program t; input Y; output X;
+               function id(a) = a;
+               begin X := id(Y); end";
+    for optimize in [true, false] {
+        let mut synth = Synthesizer::new();
+        if !optimize {
+            synth = synth.without_optimization();
+        }
+        let design = synth.synthesize_source(src).unwrap();
+        let eq = design.verify(6, (1.0, 8.0)).unwrap();
+        assert!(eq.equivalent, "optimize {optimize}: {:?}", eq.mismatch);
+    }
+}
+
 #[test]
 fn fu_strategies_preserve_behavior() {
     for strategy in [
