@@ -22,6 +22,12 @@
 //! without its register, or a same-step producer without a unit, is an
 //! [`AllocError`], so every binder and view but clique partitioning
 //! returns a `Result`.
+//!
+//! The data is index-typed: bindings are dense id maps
+//! ([`hls_cdfg::DenseMap`]), [`Connections`] keeps a short source list
+//! per FU port and register, and the [`Datapath`] owns one table of the
+//! distinct [`Signal`]s its blocks record, which each step lists by
+//! index. Nothing on the back-half path hashes a source or a signal.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
