@@ -80,5 +80,5 @@ pub use hforce::{hier_force_schedule, HierForceScheduler, DEFAULT_WINDOW};
 pub use list::{list_schedule, Priority};
 pub use pipeline::{pipeline_loop, reservation_table, PipelineResult};
 pub use resource::{ClassifierStyle, FuClass, OpClassifier, ResourceLimits};
-pub use schedule::{CdfgSchedule, Schedule};
+pub use schedule::{CdfgSchedule, Schedule, StepOps};
 pub use transform::{transformational_schedule, Move};

@@ -72,12 +72,12 @@ impl Schedule {
             .filter_map(|(i, s)| s.map(|s| (OpId::from_raw(i as u32), s)))
     }
 
-    /// Ops in `step`, in ascending id order.
-    pub fn ops_in_step(&self, step: u32) -> Vec<OpId> {
-        self.iter()
-            .filter(|&(_, s)| s == step)
-            .map(|(o, _)| o)
-            .collect()
+    /// The scheduled ops sorted by step, then id: a walk over every step
+    /// reads each op once instead of scanning them all per step.
+    pub fn by_step(&self) -> StepOps {
+        let mut ops: Vec<(u32, OpId)> = self.iter().map(|(op, step)| (step, op)).collect();
+        ops.sort_unstable();
+        StepOps(ops)
     }
 
     /// Per-class FU usage of each step, and the implied FU allocation
@@ -170,11 +170,11 @@ impl Schedule {
     pub fn render(&self, dfg: &DataFlowGraph) -> String {
         use std::fmt::Write;
         let mut s = String::new();
+        let by_step = self.by_step();
         for step in 0..self.num_steps {
-            let ops = self.ops_in_step(step);
-            let labels: Vec<String> = ops
-                .iter()
-                .map(|&o| {
+            let labels: Vec<String> = by_step
+                .ops_in(step)
+                .map(|o| {
                     let op = dfg.op(o);
                     if op.label.is_empty() {
                         format!("{}", op.kind)
@@ -186,6 +186,19 @@ impl Schedule {
             let _ = writeln!(s, "  step {:>2}: {}", step + 1, labels.join(", "));
         }
         s
+    }
+}
+
+/// A schedule's ops sorted by (step, id) ([`Schedule::by_step`]).
+#[derive(Clone, Debug)]
+pub struct StepOps(Vec<(u32, OpId)>);
+
+impl StepOps {
+    /// The ops of `step`, in ascending id order.
+    pub fn ops_in(&self, step: u32) -> impl Iterator<Item = OpId> + '_ {
+        let start = self.0.partition_point(|&(s, _)| s < step);
+        let run = self.0[start..].iter().take_while(move |&&(s, _)| s == step);
+        run.map(|&(_, op)| op)
     }
 }
 
@@ -301,7 +314,9 @@ mod tests {
         s.assign(b, 1);
         assert_eq!(s.num_steps(), 2);
         assert_eq!(s.step(a), Some(0));
-        assert_eq!(s.ops_in_step(1), vec![b]);
+        let by_step = s.by_step();
+        assert_eq!(by_step.ops_in(1).collect::<Vec<_>>(), vec![b]);
+        assert_eq!(by_step.ops_in(2).count(), 0);
         s.validate(&g, &OpClassifier::universal(), &ResourceLimits::unlimited())
             .unwrap();
     }
