@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use hls_cdfg::{BlockId, Cdfg, DataFlowGraph, DenseMap, OpId, OpKind, ValueDef, ValueId};
-use hls_rtl::{CellClass, Library, Netlist, PortDir};
+use hls_rtl::{AreaReport, AreaTally, CellClass, CellSpec, Library, Netlist, PortDir};
 use hls_sched::{CdfgSchedule, FuClass, OpClassifier, Schedule};
 
 use crate::error::AllocError;
@@ -199,55 +199,116 @@ impl Datapath {
         for name in cdfg.outputs() {
             n.add_port(format!("out_{name}"), PortDir::Out, 32);
         }
-        for (i, reg) in self.regs.iter().enumerate() {
-            let d = n.add_net(format!("r{i}_d"), reg.width);
-            let q = n.add_net(format!("r{i}_q"), reg.width);
-            n.add_instance(
-                reg.name.clone(),
-                "reg_dff",
-                reg.width,
-                vec![("d".into(), d), ("q".into(), q)],
-            );
-        }
-        for (i, fu) in self.fus.iter().enumerate() {
-            let cell = library
-                .cell(&fu.cell)
-                .ok_or_else(|| AllocError::MissingCell {
-                    class: fu.cell.clone(),
-                })?;
-            let ports = fu.ports.max(1);
-            let mut pins = Vec::with_capacity(ports + 1);
-            for p in 0..ports {
-                let net = n.add_net(format!("fu{i}_p{p}"), fu.width);
-                pins.push((format!("p{p}").into(), net));
-            }
-            let y = n.add_net(format!("fu{i}_y"), fu.width);
-            pins.push(("y".into(), y));
-            n.add_instance(fu.name.clone(), cell.name, fu.width, pins);
-        }
-        for (i, mem) in self.memories.iter().enumerate() {
-            let addr = n.add_net(format!("mem{i}_addr"), 32);
-            let q = n.add_net(format!("mem{i}_q"), 32);
-            n.add_instance(
-                sanitized("mem_", mem),
-                "mem_1rw",
-                32,
-                vec![("addr".into(), addr), ("q".into(), q)],
-            );
-        }
-        // One 2-way mux instance per extra source (n-way = n-1 two-way).
-        for m in 0..self.mux_inputs {
-            let a = n.add_net(format!("mux{m}_a"), 32);
-            let y = n.add_net(format!("mux{m}_y"), 32);
-            n.add_instance(
-                format!("mux{m}"),
-                "mux2",
-                32,
-                vec![("a".into(), a), ("y".into(), y)],
-            );
-        }
+        self.for_each_cell(library, |part, cell, _, width| {
+            let (name, pins) = match part {
+                Part::Reg(i, reg) => {
+                    let d = n.add_net(format!("r{i}_d"), width);
+                    let q = n.add_net(format!("r{i}_q"), width);
+                    (reg.name.clone(), vec![("d".into(), d), ("q".into(), q)])
+                }
+                Part::Fu(i, fu) => {
+                    let ports = fu.ports.max(1);
+                    let mut pins = Vec::with_capacity(ports + 1);
+                    for p in 0..ports {
+                        let net = n.add_net(format!("fu{i}_p{p}"), width);
+                        pins.push((format!("p{p}").into(), net));
+                    }
+                    let y = n.add_net(format!("fu{i}_y"), width);
+                    pins.push(("y".into(), y));
+                    (fu.name.clone(), pins)
+                }
+                Part::Memory(i, mem) => {
+                    let addr = n.add_net(format!("mem{i}_addr"), width);
+                    let q = n.add_net(format!("mem{i}_q"), width);
+                    let pins = vec![("addr".into(), addr), ("q".into(), q)];
+                    (sanitized("mem_", mem), pins)
+                }
+                Part::Mux(m) => {
+                    let a = n.add_net(format!("mux{m}_a"), width);
+                    let y = n.add_net(format!("mux{m}_y"), width);
+                    (format!("mux{m}"), vec![("a".into(), a), ("y".into(), y)])
+                }
+            };
+            n.add_instance(name, cell, width, pins);
+        })?;
         Ok(n)
     }
+
+    /// The area and clock of the cells [`Datapath::to_netlist`]
+    /// instantiates, priced without building the netlist: bit for bit
+    /// what [`hls_rtl::estimate`] reports for that netlist.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError::MissingCell`] when the library lacks a functional
+    /// unit's bound cell, as from [`Datapath::to_netlist`].
+    pub fn area(&self, library: &Library) -> Result<AreaReport, AllocError> {
+        let mut tally = AreaTally::default();
+        self.for_each_cell(library, |_, _, spec, width| {
+            if let Some(cell) = spec {
+                tally.add(cell, width);
+            }
+        })?;
+        Ok(tally.finish())
+    }
+
+    /// Visits every cell instance of the datapath in netlist order: the
+    /// registers, the functional units, the memories, then one 2-way mux
+    /// per counted mux input (an n-way mux is n-1 of them). Each visit
+    /// carries the library cell's name, its spec (`None` when the library
+    /// lacks it, which prices at zero) and the instance width. Each cell
+    /// kind is looked up once, not once per instance.
+    fn for_each_cell<'a>(
+        &'a self,
+        library: &'a Library,
+        mut visit: impl FnMut(Part<'a>, &'static str, Option<&'a CellSpec>, u8),
+    ) -> Result<(), AllocError> {
+        let reg = library.cell(REG_CELL);
+        for (i, r) in self.regs.iter().enumerate() {
+            visit(Part::Reg(i, r), REG_CELL, reg, r.width);
+        }
+        // The units are class-major, so a class's units share one lookup.
+        let mut last: Option<&CellSpec> = None;
+        for (i, fu) in self.fus.iter().enumerate() {
+            let cell = match last {
+                Some(c) if c.name == fu.cell => c,
+                _ => library
+                    .cell(&fu.cell)
+                    .ok_or_else(|| AllocError::MissingCell {
+                        class: fu.cell.clone(),
+                    })?,
+            };
+            last = Some(cell);
+            visit(Part::Fu(i, fu), cell.name, Some(cell), fu.width);
+        }
+        let mem = library.cell(MEM_CELL);
+        for (i, name) in self.memories.iter().enumerate() {
+            visit(Part::Memory(i, name), MEM_CELL, mem, 32);
+        }
+        let mux = library.cell(MUX_CELL);
+        for m in 0..self.mux_inputs {
+            visit(Part::Mux(m), MUX_CELL, mux, 32);
+        }
+        Ok(())
+    }
+}
+
+// The library cells every datapath register, memory and mux instantiates.
+const REG_CELL: &str = "reg_dff";
+const MEM_CELL: &str = "mem_1rw";
+const MUX_CELL: &str = "mux2";
+
+/// One cell instance of a [`Datapath`], as [`Datapath::for_each_cell`]
+/// visits it.
+enum Part<'a> {
+    /// The `i`-th register.
+    Reg(usize, &'a RegDesc),
+    /// The `i`-th functional unit.
+    Fu(usize, &'a FuDesc),
+    /// The `i`-th memory, by name.
+    Memory(usize, &'a str),
+    /// The `m`-th 2-way mux.
+    Mux(usize),
 }
 
 /// Builds the shared datapath for a scheduled behavior.
@@ -756,6 +817,65 @@ mod tests {
         assert!(report.total() > 0.0);
         let v = hls_rtl::to_verilog(&netlist);
         assert!(v.contains("module sqrt"));
+    }
+
+    /// `Datapath::area` prices the cells `to_netlist` instantiates, so
+    /// it equals `estimate` of that netlist bit for bit: registers, FUs,
+    /// a memory (SUMSQ's array) and the muxes, under the standard
+    /// library and one whose cheaper universal cell the FUs bind.
+    #[test]
+    fn area_equals_the_netlist_estimate_bit_for_bit() {
+        fn bits(r: &AreaReport) -> (u64, u64, u64, Vec<(&'static str, u64)>) {
+            let by_class = r.by_class.iter().map(|(&c, a)| (c, a.to_bits())).collect();
+            let totals = (r.cell_area.to_bits(), r.wiring_area.to_bits());
+            (totals.0, totals.1, r.clock_ns.to_bits(), by_class)
+        }
+        let lean = Library::standard().with_cell(CellSpec {
+            name: "fu_lean",
+            class: CellClass::Universal,
+            area_base: 90.0,
+            area_per_bit: 120.0,
+            delay_base: 40.0,
+            delay_per_bit: 4.0,
+        });
+        let cls = OpClassifier::universal_free_shifts();
+        let mut memories = 0;
+        for src in [hls_workloads::sources::SQRT, hls_workloads::sources::SUMSQ] {
+            let mut cdfg = hls_lang::compile(src).unwrap();
+            hls_opt::optimize(&mut cdfg);
+            for fus in 1..=3 {
+                let limits = ResourceLimits::universal(fus);
+                let algorithm = Algorithm::List(Priority::PathLength);
+                let sched = schedule_cdfg(&cdfg, &cls, &limits, algorithm).unwrap();
+                for lib in [Library::standard(), lean.clone()] {
+                    for strategy in [
+                        FuStrategy::GreedyAware,
+                        FuStrategy::GreedyBlind,
+                        FuStrategy::Clique(CliqueMethod::Tseng),
+                    ] {
+                        let dp = build_datapath(&cdfg, &sched, &cls, &lib, strategy).unwrap();
+                        let netlist = dp.to_netlist(&cdfg, &lib).unwrap();
+                        let priced = dp.area(&lib).unwrap();
+                        assert_eq!(bits(&priced), bits(&hls_rtl::estimate(&netlist, &lib)));
+                        memories += dp.memories.len();
+                    }
+                }
+            }
+        }
+        assert!(memories > 0, "SUMSQ's array is priced as a memory");
+    }
+
+    /// A library without a unit's bound cell fails both views alike.
+    #[test]
+    fn area_and_netlist_report_the_same_missing_cell() {
+        let (cdfg, mut dp) = sqrt_datapath(FuStrategy::GreedyAware);
+        dp.fus[1].cell = "fu_gone".into();
+        let lib = Library::standard();
+        let missing = AllocError::MissingCell {
+            class: "fu_gone".into(),
+        };
+        assert_eq!(dp.area(&lib), Err(missing.clone()));
+        assert_eq!(dp.to_netlist(&cdfg, &lib).map(|_| ()), Err(missing));
     }
 
     /// A missing register or FU binding is an error, never a

@@ -14,6 +14,8 @@
 //! * [`build_datapath`] — whole-behavior datapath assembly: each operand
 //!   resolved once to a [`Source`], each step's control [`Signal`]s
 //!   recorded for the controller, the RTL simulator and netlist export.
+//!   [`Datapath::area`] prices the cells the netlist would instantiate
+//!   without building it.
 //!
 //! The binders, the interconnect views and [`build_datapath`] share one
 //! operand-source model: one resolver turns an operand into a [`Source`],

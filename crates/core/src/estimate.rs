@@ -607,7 +607,8 @@ pub struct PruneStats {
     pub estimated: usize,
     /// Points skipped by the dominance pre-pass.
     pub pruned: usize,
-    /// Points that ran full synthesis (or hit the memo cache).
+    /// Points that were synthesized to their summary (or hit the memo
+    /// cache).
     pub synthesized: usize,
     /// Fraction of synthesized, bounded points whose actual
     /// `(latency, area)` landed inside the predicted interval — a

@@ -12,12 +12,13 @@ use hls_alloc::{build_datapath, Datapath, FuStrategy};
 use hls_cdfg::{Cdfg, Fx};
 use hls_ctrl::{build_fsm, hardwired_logic, microcode, EncodingStyle, Fsm, HardwiredReport};
 use hls_opt::PassStats;
-use hls_rtl::{estimate, AreaReport, Library, Netlist};
+use hls_rtl::{AreaReport, Library, Netlist};
 use hls_sched::{
     schedule_cdfg_cached, Algorithm, CdfgBoundsCache, CdfgSchedule, OpClassifier, Priority,
     ResourceLimits,
 };
 
+use crate::explore::PointSummary;
 use crate::SynthesisError;
 
 /// Controller implementation style.
@@ -384,6 +385,78 @@ impl Synthesizer {
         prepared: &PreparedBehavior,
         cancel: &CancelToken,
     ) -> Result<SynthesisResult, SynthesisError> {
+        let BackHalf {
+            schedule,
+            latency,
+            datapath,
+            fsm,
+            mut stage_nanos,
+        } = self.back_half(prepared, cancel)?;
+        let t0 = Instant::now();
+        let control_report = match self.control {
+            ControlStyle::Hardwired(style) => {
+                ControlReport::Hardwired(hardwired_logic(&fsm, style)?)
+            }
+            ControlStyle::Microcode => {
+                let mp = microcode(&fsm);
+                ControlReport::Microcode {
+                    words: mp.rom.len(),
+                    horizontal_bits: mp.horizontal_rom_bits(),
+                    encoded_bits: mp.encoded_rom_bits(),
+                }
+            }
+        };
+        stage_nanos.control += elapsed_nanos(t0);
+        cancel.check("control")?;
+        let t0 = Instant::now();
+        let netlist = datapath.to_netlist(&prepared.cdfg, &self.library)?;
+        let area = datapath.area(&self.library)?;
+        stage_nanos.rtl = elapsed_nanos(t0);
+        Ok(SynthesisResult {
+            cdfg: prepared.cdfg.clone(),
+            schedule,
+            datapath,
+            fsm,
+            control_report,
+            netlist,
+            area,
+            latency,
+            pass_stats: prepared.pass_stats.clone(),
+            classifier: prepared.classifier,
+            stage_nanos,
+        })
+    }
+
+    /// What a design-space sweep keeps of one point, computed without
+    /// the rest of [`Synthesizer::synthesize_prepared`]: the same stages
+    /// up to the FSM, then the area priced from the datapath. No control
+    /// logic or ROM, netlist, behavior copy or [`SynthesisResult`] is
+    /// built. The summary equals the full result's, and the same points
+    /// fail with the same errors: hardwired logic checks only the FSM
+    /// validation `build_fsm` already ran, microcode cannot fail, and
+    /// the area reports the netlist's missing-cell error.
+    pub(crate) fn summarize_prepared(
+        &self,
+        prepared: &PreparedBehavior,
+    ) -> Result<PointSummary, SynthesisError> {
+        let back = self.back_half(prepared, &CancelToken::new())?;
+        let area = back.datapath.area(&self.library)?;
+        Ok(PointSummary {
+            latency: back.latency,
+            area: area.total(),
+            registers: back.datapath.reg_count(),
+            mux_inputs: back.datapath.mux_inputs,
+        })
+    }
+
+    /// The stages both finishes share: schedule → latency → datapath →
+    /// FSM, checking `cancel` after scheduling and after allocation. The
+    /// FSM's build time opens the control stage's timing.
+    fn back_half(
+        &self,
+        prepared: &PreparedBehavior,
+        cancel: &CancelToken,
+    ) -> Result<BackHalf, SynthesisError> {
         let cdfg = &prepared.cdfg;
         let classifier = &prepared.classifier;
         let mut stage_nanos = StageNanos::default();
@@ -405,39 +478,24 @@ impl Synthesizer {
         cancel.check("allocate")?;
         let t0 = Instant::now();
         let fsm = build_fsm(cdfg, &schedule, &datapath, classifier)?;
-        let control_report = match self.control {
-            ControlStyle::Hardwired(style) => {
-                ControlReport::Hardwired(hardwired_logic(&fsm, style)?)
-            }
-            ControlStyle::Microcode => {
-                let mp = microcode(&fsm);
-                ControlReport::Microcode {
-                    words: mp.rom.len(),
-                    horizontal_bits: mp.horizontal_rom_bits(),
-                    encoded_bits: mp.encoded_rom_bits(),
-                }
-            }
-        };
         stage_nanos.control = elapsed_nanos(t0);
-        cancel.check("control")?;
-        let t0 = Instant::now();
-        let netlist = datapath.to_netlist(cdfg, &self.library)?;
-        let area = estimate(&netlist, &self.library);
-        stage_nanos.rtl = elapsed_nanos(t0);
-        Ok(SynthesisResult {
-            cdfg: cdfg.clone(),
+        Ok(BackHalf {
             schedule,
+            latency,
             datapath,
             fsm,
-            control_report,
-            netlist,
-            area,
-            latency,
-            pass_stats: prepared.pass_stats.clone(),
-            classifier: prepared.classifier,
             stage_nanos,
         })
     }
+}
+
+/// The products of [`Synthesizer::back_half`].
+struct BackHalf {
+    schedule: CdfgSchedule,
+    latency: u64,
+    datapath: Datapath,
+    fsm: Fsm,
+    stage_nanos: StageNanos,
 }
 
 fn elapsed_nanos(since: Instant) -> u64 {
@@ -514,7 +572,8 @@ pub fn cdfg_fingerprint(cdfg: &Cdfg) -> u64 {
 fn debug_fingerprint(value: &impl std::fmt::Debug) -> u64 {
     use std::fmt::Write as _;
     let mut w = hls_testkit::FnvWriter::new();
-    write!(w, "{value:?}").expect("FnvWriter never fails");
+    // Writing into the hasher cannot fail.
+    let _ = write!(w, "{value:?}");
     w.finish()
 }
 

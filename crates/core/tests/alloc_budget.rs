@@ -1,27 +1,40 @@
 //! Heap allocations of one back-half design point.
 //!
 //! A counting global allocator tallies the allocations (fresh blocks and
-//! reallocations) made on the test's own thread while
-//! `synthesize_prepared` runs its back half: schedule → datapath →
-//! controller → control logic → netlist → area, plus the behavior the
-//! result clones. The inputs are fixed: the DIFFEQ program and a 150-op
-//! random DAG, each on 1–4 universal FUs under microcode and
-//! hardwired/binary control. The test prints each stage's mean count and
-//! fails when the mean per point exceeds the budget.
+//! reallocations) made on the test's own thread. Two budgets:
+//!
+//! * `synthesize_prepared` runs the whole back half: schedule → datapath
+//!   → controller → control logic → netlist → area, plus the behavior
+//!   the result clones.
+//! * A point of the serial `hls_core::sweep_grid_cdfg` runs only what its
+//!   summary reads: schedule → datapath → controller → area. The sweep's
+//!   one `prepare` is counted apart and left out of the per-point mean.
+//!
+//! The inputs are fixed: the DIFFEQ program and a 150-op random DAG, each
+//! on 1–4 universal FUs under microcode and hardwired/binary control. The
+//! tests print each stage's mean count and fail when the mean per point
+//! exceeds the budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hls_alloc::{build_datapath, FuStrategy};
-use hls_core::{ControlStyle, PreparedBehavior, Synthesizer};
+use hls_cdfg::Cdfg;
+use hls_core::{sweep_grid_cdfg, ControlStyle, GridSpec, PreparedBehavior, Synthesizer};
 use hls_ctrl::{build_fsm, hardwired_logic, microcode, EncodingStyle};
-use hls_rtl::{estimate, Library};
+use hls_rtl::Library;
 use hls_sched::{schedule_cdfg_cached, Algorithm, Priority, ResourceLimits};
 use hls_workloads::random::{random_dag, RandomDagConfig};
 
 /// Mean allocations per point the back half may make: the count measured
 /// when the budget was set (2 755.4), plus 10%.
 const BUDGET: f64 = 3_030.0;
+
+/// Mean allocations per synthesized point of a serial sweep: the count
+/// measured when the budget was set (677.5), plus 10%. A point that
+/// built the control logic or ROM, the netlist or a behavior copy again
+/// would exceed it.
+const SWEEP_BUDGET: f64 = 745.0;
 
 struct Counting;
 
@@ -96,16 +109,16 @@ fn stage_counts(prepared: &PreparedBehavior, fus: usize, control: ControlStyle) 
             std::hint::black_box((mp.horizontal_rom_bits(), mp.encoded_rom_bits()));
         }
     });
-    let (netlist, netlist_n) = counted(|| datapath.to_netlist(cdfg, &library).unwrap());
-    let (_, area_n) = counted(|| estimate(&netlist, &library));
+    let (_, netlist_n) = counted(|| datapath.to_netlist(cdfg, &library).unwrap());
+    let (_, area_n) = counted(|| datapath.area(&library).unwrap());
     let (_, clone_n) = counted(|| cdfg.clone());
     [
         schedule_n, datapath_n, fsm_n, control_n, netlist_n, area_n, clone_n,
     ]
 }
 
-#[test]
-fn back_half_stays_within_its_allocation_budget() {
+/// The fixed inputs: DIFFEQ and a 150-op random DAG.
+fn inputs() -> [Cdfg; 2] {
     let diffeq = hls_lang::compile(hls_workloads::sources::DIFFEQ).unwrap();
     let dag = hls_workloads::benchmarks::to_cdfg(
         "rand",
@@ -114,16 +127,22 @@ fn back_half_stays_within_its_allocation_budget() {
             ..Default::default()
         }),
     );
-    let controls = [
-        ControlStyle::Microcode,
-        ControlStyle::Hardwired(EncodingStyle::Binary),
-    ];
+    [diffeq, dag]
+}
+
+const CONTROLS: [ControlStyle; 2] = [
+    ControlStyle::Microcode,
+    ControlStyle::Hardwired(EncodingStyle::Binary),
+];
+
+#[test]
+fn back_half_stays_within_its_allocation_budget() {
     let (mut total, mut points) = (0u64, 0u64);
     let mut stages = [0u64; 7];
-    for cdfg in [diffeq, dag] {
+    for cdfg in inputs() {
         let prepared = Synthesizer::new().prepare(cdfg).unwrap();
         for fus in 1..=4 {
-            for control in controls {
+            for control in CONTROLS {
                 let synth = Synthesizer::new()
                     .universal_fus(fus)
                     .algorithm(ALGORITHM)
@@ -146,5 +165,49 @@ fn back_half_stays_within_its_allocation_budget() {
     assert!(
         mean <= BUDGET,
         "{mean:.1} allocations per point, over the budget of {BUDGET}"
+    );
+}
+
+#[test]
+fn sweep_point_stays_within_its_allocation_budget() {
+    let spec = GridSpec {
+        fus: vec![1, 2, 3, 4],
+        algorithms: vec![ALGORITHM],
+        controls: CONTROLS.to_vec(),
+    };
+    let base = Synthesizer::new();
+    let (mut sweeps, mut prepares, mut points) = (0u64, 0u64, 0u64);
+    let mut stages = [0u64; 7];
+    let inputs = inputs();
+    let runs = inputs.len();
+    for cdfg in inputs {
+        let (prepared, n) = counted(|| base.prepare(cdfg.clone()).unwrap());
+        prepares += n;
+        let (swept, n) = counted(|| sweep_grid_cdfg(&base, &cdfg, &spec).unwrap());
+        sweeps += n;
+        points += swept.len() as u64;
+        for p in spec.expand() {
+            for (sum, n) in stages
+                .iter_mut()
+                .zip(stage_counts(&prepared, p.fus, p.control))
+            {
+                *sum += n;
+            }
+        }
+    }
+    let mean = (sweeps - prepares) as f64 / points as f64;
+    println!(
+        "allocations per sweep point: {mean:.1} (budget {SWEEP_BUDGET}); \
+         prepare: {:.1} per sweep",
+        prepares as f64 / runs as f64
+    );
+    for (name, n) in STAGES.iter().zip(stages) {
+        if ["schedule", "datapath", "fsm", "area"].contains(name) {
+            println!("  {name:<9} {:.1}", n as f64 / points as f64);
+        }
+    }
+    assert!(
+        mean <= SWEEP_BUDGET,
+        "{mean:.1} allocations per sweep point, over the budget of {SWEEP_BUDGET}"
     );
 }

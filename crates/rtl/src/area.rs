@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::library::{CellClass, Library};
+use crate::library::{CellClass, CellSpec, Library};
 use crate::netlist::Netlist;
 
 /// Wiring overhead applied on top of raw cell area; PLEST-style estimators
@@ -53,30 +53,51 @@ impl std::fmt::Display for AreaReport {
 /// run [`Netlist::validate`] and keep cell names in sync with the library
 /// to avoid surprises.
 pub fn estimate(netlist: &Netlist, library: &Library) -> AreaReport {
-    let mut cell_area = 0.0;
-    let mut by_class: BTreeMap<&'static str, f64> = BTreeMap::new();
-    let mut worst_comb: f64 = 0.0;
-    let mut reg_delay: f64 = 0.0;
-    let mut mux_delay: f64 = 0.0;
+    let mut tally = AreaTally::default();
     for (_, inst) in netlist.instances() {
-        let Some(cell) = library.cell(&inst.cell) else {
-            continue;
-        };
-        let a = cell.area(inst.width);
-        cell_area += a;
-        *by_class.entry(cell.class.name()).or_insert(0.0) += a;
-        let d = cell.delay(inst.width);
-        match cell.class {
-            CellClass::Register => reg_delay = reg_delay.max(d),
-            CellClass::Mux | CellClass::BusDriver => mux_delay = mux_delay.max(d),
-            _ => worst_comb = worst_comb.max(d),
+        if let Some(cell) = library.cell(&inst.cell) {
+            tally.add(cell, inst.width);
         }
     }
-    AreaReport {
-        cell_area,
-        wiring_area: cell_area * WIRING_FACTOR,
-        by_class,
-        clock_ns: worst_comb + mux_delay + reg_delay,
+    tally.finish()
+}
+
+/// An [`AreaReport`] under construction, priced one cell instance at a
+/// time. [`estimate`] prices a netlist's instances through it, and a
+/// structure that knows its cells without building a netlist can add
+/// them directly: the same instances in the same order give a
+/// bit-identical report.
+#[derive(Clone, Debug, Default)]
+pub struct AreaTally {
+    cell_area: f64,
+    by_class: BTreeMap<&'static str, f64>,
+    worst_comb: f64,
+    reg_delay: f64,
+    mux_delay: f64,
+}
+
+impl AreaTally {
+    /// Adds one `width`-bit instance of `cell`.
+    pub fn add(&mut self, cell: &CellSpec, width: u8) {
+        let a = cell.area(width);
+        self.cell_area += a;
+        *self.by_class.entry(cell.class.name()).or_insert(0.0) += a;
+        let d = cell.delay(width);
+        match cell.class {
+            CellClass::Register => self.reg_delay = self.reg_delay.max(d),
+            CellClass::Mux | CellClass::BusDriver => self.mux_delay = self.mux_delay.max(d),
+            _ => self.worst_comb = self.worst_comb.max(d),
+        }
+    }
+
+    /// The report of every instance added so far.
+    pub fn finish(self) -> AreaReport {
+        AreaReport {
+            cell_area: self.cell_area,
+            wiring_area: self.cell_area * WIRING_FACTOR,
+            by_class: self.by_class,
+            clock_ns: self.worst_comb + self.mux_delay + self.reg_delay,
+        }
     }
 }
 

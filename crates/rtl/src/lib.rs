@@ -23,7 +23,7 @@ mod library;
 mod netlist;
 mod verilog;
 
-pub use area::{estimate, AreaReport, WIRING_FACTOR};
+pub use area::{estimate, AreaReport, AreaTally, WIRING_FACTOR};
 pub use handshake::{arbiter_verilog, channel_cell_verilog, fifo_cell_verilog};
 pub use library::{mux_area, CellClass, CellSpec, Library};
 pub use netlist::{Instance, InstanceId, Net, NetId, Netlist, NetlistError, Port, PortDir};
