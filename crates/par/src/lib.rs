@@ -23,6 +23,13 @@
 //! [`ThreadPool::map`], never on a worker (a poisoned worker would hang
 //! every later sweep).
 //!
+//! A caller that builds a pool per operation (a fresh explorer per
+//! sweep) takes it with [`ThreadPool::recycled`]: dropping such a pool
+//! parks its idle workers for the next pool of the same size instead of
+//! joining them, so the operation pays neither the thread spawns nor a
+//! join whose latency depends on when the host schedules the exiting
+//! threads.
+//!
 //! This crate lived as `hls_core::par` until the scheduler itself needed
 //! parallelism (`hls-core` depends on `hls-sched`, so the pool had to
 //! move below both); `hls-core` re-exports it at the old path.
@@ -33,7 +40,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -50,11 +57,27 @@ struct Shared {
     wake: Condvar,
 }
 
-/// A fixed-size work-stealing pool. Dropping it joins every worker.
+/// A fixed-size work-stealing pool. Dropping it joins every worker,
+/// unless it came from [`ThreadPool::recycled`].
 pub struct ThreadPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     next: AtomicUsize,
+    /// Park the idle workers on drop instead of joining them.
+    recycle: bool,
+}
+
+/// The most idle pools [`ThreadPool::recycled`] keeps parked; a recycled
+/// pool dropped while this many wait joins its workers instead.
+const MAX_SPARE: usize = 8;
+
+/// Idle pools parked by dropped recycled pools, oldest first.
+static SPARE: Mutex<Vec<ThreadPool>> = Mutex::new(Vec::new());
+
+/// Locks the spare list. Each update is one push or one removal, so a
+/// guard recovered from a panicked holder still holds a valid list.
+fn spare() -> MutexGuard<'static, Vec<ThreadPool>> {
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -119,7 +142,31 @@ fn parse_positive(raw: &str) -> Result<usize, &'static str> {
 impl ThreadPool {
     /// Spawns a pool with `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
+        Self::spawn(threads.max(1), false)
+    }
+
+    /// A pool with `threads` workers (clamped to at least 1) that is
+    /// reused rather than rebuilt: it is an idle pool of that size parked
+    /// by an earlier drop when there is one, and a newly spawned pool
+    /// otherwise. Dropping it parks it for the next call, unless eight
+    /// pools are parked already or it still has queued jobs; then it
+    /// joins its workers as a [`ThreadPool::new`] pool does. Parked
+    /// workers live until the process exits, as those of [`shared`] do.
+    /// Jobs see no difference: [`ThreadPool::map`] returns only after
+    /// every one of its jobs has run, so a parked pool holds no work.
+    pub fn recycled(threads: usize) -> Self {
         let threads = threads.max(1);
+        let parked = {
+            let mut spare = spare();
+            spare
+                .iter()
+                .position(|p| p.threads() == threads)
+                .map(|i| spare.remove(i))
+        };
+        parked.unwrap_or_else(|| Self::spawn(threads, true))
+    }
+
+    fn spawn(threads: usize, recycle: bool) -> Self {
         let shared = Arc::new(Shared {
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(0),
@@ -140,6 +187,7 @@ impl ThreadPool {
             shared,
             workers,
             next: AtomicUsize::new(0),
+            recycle,
         }
     }
 
@@ -218,6 +266,18 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
+        if self.recycle && self.shared.pending.load(Ordering::SeqCst) == 0 {
+            let mut spare = spare();
+            if spare.len() < MAX_SPARE {
+                spare.push(ThreadPool {
+                    shared: Arc::clone(&self.shared),
+                    workers: std::mem::take(&mut self.workers),
+                    next: AtomicUsize::new(self.next.load(Ordering::Relaxed)),
+                    recycle: true,
+                });
+                return;
+            }
+        }
         self.shared.shutdown.store(true, Ordering::SeqCst);
         {
             let _lot = self.shared.lot.lock().expect("lot lock");
@@ -339,6 +399,45 @@ mod tests {
         // Workers survived the panic; the pool still maps.
         let out = pool.map(vec![1u32, 2, 3], |_, x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn recycled_pools_are_parked_reused_and_capped() {
+        // The only test in this binary that uses the spare list, so no
+        // other test takes a parked pool or fills the list meanwhile.
+        let first = ThreadPool::recycled(5);
+        // Held so that no new pool can reuse the address of its state.
+        let shared = Arc::clone(&first.shared);
+        assert_eq!(first.map(vec![1u32, 2], |_, x| x + 1), vec![2, 3]);
+        drop(first);
+        let again = ThreadPool::recycled(5);
+        assert!(Arc::ptr_eq(&again.shared, &shared), "the parked pool");
+        assert_eq!(again.threads(), 5);
+        // A job panic leaves the parked pool usable, as it does any pool.
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            again.map(
+                vec![0u32, 1],
+                |_, x| if x == 1 { panic!("boom") } else { x },
+            )
+        }));
+        assert!(r.is_err());
+        drop(again);
+        let third = ThreadPool::recycled(5);
+        assert!(Arc::ptr_eq(&third.shared, &shared));
+        assert_eq!(third.map(vec![7u32], |_, x| x), vec![7]);
+        drop(third);
+
+        drop(ThreadPool::new(6));
+        assert!(
+            spare().iter().all(|p| p.threads() != 6),
+            "new() never parks"
+        );
+
+        let pools: Vec<_> = (0..MAX_SPARE + 2)
+            .map(|_| ThreadPool::recycled(1))
+            .collect();
+        drop(pools);
+        assert_eq!(spare().len(), MAX_SPARE, "the list fills, then pools join");
     }
 
     #[test]
