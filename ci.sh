@@ -26,14 +26,16 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> panic-free library check (crates/sched, crates/alloc, crates/ctrl, crates/opt, crates/rtl, crates/sim, crates/core)"
+echo "==> panic-free library check (crates/sched, crates/alloc, crates/ctrl, crates/opt, crates/rtl, crates/sim, crates/core, crates/par)"
 # Library code on the synthesis path must report errors, never panic
-# (DESIGN.md §6). Strip line comments, keep only the text above any
-# #[cfg(test)] marker, and fail on panicking constructs: panic!,
-# unreachable!, .unwrap(), .expect( and `map[&key]` indexing.
+# (DESIGN.md §6); crates/par is the pool every sweep runs on. Strip line
+# comments, keep only the text above any #[cfg(test)] marker, and fail on
+# panicking constructs: panic!, unreachable!, .unwrap(), .expect( and
+# `map[&key]` indexing.
 panic_check_failed=0
 for f in crates/sched/src/*.rs crates/alloc/src/*.rs crates/ctrl/src/*.rs \
-    crates/opt/src/*.rs crates/rtl/src/*.rs crates/sim/src/*.rs crates/core/src/*.rs; do
+    crates/opt/src/*.rs crates/rtl/src/*.rs crates/sim/src/*.rs crates/core/src/*.rs \
+    crates/par/src/*.rs; do
     hits=$(awk '/#\[cfg\(test\)\]/ { exit } { sub(/\/\/.*/, ""); print }' "$f" \
         | grep -nE 'panic!|\.unwrap\(\)|unreachable!|\.expect\(|[]A-Za-z0-9_)]\[&' || true)
     if [ -n "$hits" ]; then

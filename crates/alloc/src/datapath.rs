@@ -20,6 +20,8 @@
 //!   live simultaneously because blocks execute sequentially).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use hls_cdfg::{BlockId, Cdfg, DataFlowGraph, DenseMap, OpId, OpKind, ValueDef, ValueId};
 use hls_rtl::{AreaReport, AreaTally, CellClass, CellSpec, Library, Netlist, PortDir};
@@ -27,7 +29,7 @@ use hls_sched::{CdfgSchedule, FuClass, OpClassifier, Schedule};
 
 use crate::error::AllocError;
 use crate::fu::{clique_allocation, greedy_allocation, CliqueMethod};
-use crate::interconnect::{grown, Connections, PerSink, Sink};
+use crate::interconnect::{grown, price, PerSink, Sink};
 use crate::lifetime::value_intervals;
 use crate::registers::{left_edge, RegisterAllocation};
 use crate::signal::{Signal, Source};
@@ -44,19 +46,18 @@ pub enum FuStrategy {
 }
 
 /// What a register stores.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RegKind {
-    /// A named program variable, live across blocks.
-    Var(String),
+    /// Variable `i` of the datapath's [`VariableTable`], live across
+    /// blocks.
+    Var(usize),
     /// A shared intra-block temporary.
     Temp(usize),
 }
 
-/// A physical register.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A physical register; [`Datapath::reg_name`] renders its name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegDesc {
-    /// Instance name.
-    pub name: String,
     /// Width in bits.
     pub width: u8,
     /// Role.
@@ -78,13 +79,118 @@ pub struct FuDesc {
     pub ports: usize,
 }
 
-/// An end-of-block write of `value` into the variable register of `var`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An end-of-block write of `value` into variable register `reg`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutputWrite {
-    /// Destination variable.
-    pub var: String,
+    /// Destination variable register.
+    pub reg: usize,
     /// The written value.
     pub value: ValueId,
+}
+
+/// The schedule-independent storage of one behavior, built once from its
+/// CDFG and shared by every datapath built from it: one variable
+/// register per named variable crossing a block boundary (program inputs
+/// included) at the widest crossing, each block's inputs and end-of-block
+/// writes against those registers, and the named memories.
+#[derive(Clone, Debug, Default)]
+pub struct VariableTable {
+    /// Variable names, sorted, with their widths: variable `i` lives in
+    /// register `i`.
+    vars: Vec<(String, u8)>,
+    blocks: DenseMap<BlockId, BlockVars>,
+    memories: Vec<String>,
+}
+
+/// One block's crossings, against the variable registers.
+#[derive(Clone, Debug)]
+struct BlockVars {
+    /// Each block input and the register of the variable it reads (an
+    /// assignment may rename the value itself).
+    inputs: Vec<(ValueId, usize)>,
+    writes: Vec<OutputWrite>,
+}
+
+impl VariableTable {
+    /// Walks `cdfg` once for its variables, block crossings and memories.
+    pub fn new(cdfg: &Cdfg) -> Self {
+        let mut widths: BTreeMap<&str, u8> = BTreeMap::new();
+        for (name, width) in cdfg.inputs() {
+            widths.insert(name, *width);
+        }
+        let order = cdfg.block_order();
+        for &block in &order {
+            let dfg = &cdfg.block(block).dfg;
+            let inputs = dfg.inputs().iter().map(|&v| (&dfg.value(v).name, v));
+            for (name, v) in inputs.chain(dfg.outputs().iter().map(|(name, v)| (name, *v))) {
+                let width = dfg.value(v).width;
+                let w = widths.entry(name).or_insert(width);
+                *w = (*w).max(width);
+            }
+        }
+        let mut table = VariableTable {
+            vars: widths
+                .into_iter()
+                .map(|(n, w)| (n.to_string(), w))
+                .collect(),
+            ..Self::default()
+        };
+        let mut memories: Vec<&str> = Vec::new();
+        for &block in &order {
+            let dfg = &cdfg.block(block).dfg;
+            let inputs = dfg
+                .inputs()
+                .iter()
+                .filter_map(|&v| match &dfg.value(v).def {
+                    ValueDef::BlockInput(name) => Some((v, table.register(name)?)),
+                    ValueDef::Op(_) => None,
+                });
+            let writes = dfg.outputs().iter().filter_map(|(name, v)| {
+                let reg = table.register(name)?;
+                Some(OutputWrite { reg, value: *v })
+            });
+            let (inputs, writes) = (inputs.collect(), writes.collect());
+            table.blocks.insert(block, BlockVars { inputs, writes });
+            memories.extend(dfg.op_ids().filter_map(|op| dfg.op(op).memory.as_deref()));
+        }
+        memories.sort_unstable();
+        memories.dedup();
+        table.memories = memories.into_iter().map(str::to_string).collect();
+        table
+    }
+
+    /// Number of variables, and so of variable registers.
+    pub fn var_count(&self) -> usize {
+        self.vars.len()
+    }
+
+    /// The register of variable `name`.
+    pub fn register(&self, name: &str) -> Option<usize> {
+        self.vars
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .ok()
+    }
+
+    /// Variable `var`'s name (empty outside the table).
+    pub fn name(&self, var: usize) -> &str {
+        self.vars.get(var).map_or("", |(n, _)| n)
+    }
+
+    /// Each variable register's width, in register order.
+    pub fn widths(&self) -> impl Iterator<Item = u8> + '_ {
+        self.vars.iter().map(|&(_, w)| w)
+    }
+
+    /// The end-of-block writes of `block` (none outside the table).
+    pub fn writes(&self, block: BlockId) -> &[OutputWrite] {
+        self.blocks.get(block).map_or(&[], |b| &b.writes)
+    }
+
+    /// The named memories the behavior accesses (sorted, deduplicated),
+    /// one single-port RAM each.
+    pub fn memories(&self) -> &[String] {
+        &self.memories
+    }
 }
 
 /// Per-block binding details.
@@ -96,28 +202,29 @@ pub struct BlockBinding {
     /// block inputs in their variable registers, stored intra-block
     /// values in temporaries.
     pub value_reg: DenseMap<ValueId, usize>,
-    /// End-of-block variable writes.
-    pub writes: Vec<OutputWrite>,
     /// The control signals asserted in each control step (one entry per
     /// step, and one for a block of zero steps), as indices into
-    /// [`Datapath::signals`]. The last entry also loads the end-of-block
-    /// writes.
+    /// [`Datapath::signals`]. The last entry also loads the block's
+    /// end-of-block writes ([`VariableTable::writes`]).
     pub signals: Vec<Vec<usize>>,
 }
 
 /// The assembled datapath.
+///
+/// Its variable registers, the block crossings and the memories come from
+/// the behavior's [`VariableTable`], which every datapath built from one
+/// prepared behavior shares; a datapath adds only what its schedule
+/// decides: the units, the temporaries, the bindings and the signals.
 #[derive(Clone, Debug)]
 pub struct Datapath {
     /// Functional units.
     pub fus: Vec<FuDesc>,
-    /// Registers (variables first, then temps).
+    /// Registers (variables first, in [`VariableTable`] order, then temps).
     pub regs: Vec<RegDesc>,
-    /// Variable name → register index.
-    pub var_reg: BTreeMap<String, usize>,
+    /// The behavior's variable registers, block crossings and memories.
+    pub vars: Arc<VariableTable>,
     /// Per-block bindings.
     pub blocks: HashMap<BlockId, BlockBinding>,
-    /// Named memories accessed by the behavior (one single-port RAM each).
-    pub memories: Vec<String>,
     /// Every distinct control signal the blocks record, once each, in
     /// the order first recorded.
     pub signals: Vec<Signal>,
@@ -136,6 +243,16 @@ impl Datapath {
         self.fus.len()
     }
 
+    /// A register's instance name, rendered where it is printed: `rv_`
+    /// and the variable's name (non-alphanumerics as `_`) for a variable,
+    /// `rt{t}` for temporary `t`.
+    pub fn reg_name(&self, kind: RegKind) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| match kind {
+            RegKind::Var(v) => write!(f, "{}", sanitized("rv_", self.vars.name(v))),
+            RegKind::Temp(t) => write!(f, "rt{t}"),
+        })
+    }
+
     /// Renders the datapath structure as a Graphviz DOT digraph: registers
     /// as boxes, functional units as circles, memories as 3-D boxes, with
     /// one edge per distinct source→sink connection (fan-in above one
@@ -143,21 +260,17 @@ impl Datapath {
     /// operand selects from registers and FUs (a chain of wired shifts
     /// drawn from its root) and the FU→register result loads.
     pub fn to_dot(&self, cdfg: &Cdfg) -> String {
-        use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(s, "digraph \"{}_datapath\" {{", cdfg.name());
         let _ = writeln!(s, "  rankdir=LR;");
         for (i, reg) in self.regs.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "  r{i} [label=\"{} [{}]\", shape=box];",
-                reg.name, reg.width
-            );
+            let name = self.reg_name(reg.kind);
+            let _ = writeln!(s, "  r{i} [label=\"{name} [{}]\", shape=box];", reg.width);
         }
         for (i, fu) in self.fus.iter().enumerate() {
             let _ = writeln!(s, "  fu{i} [label=\"{}\", shape=circle];", fu.name);
         }
-        for (i, mem) in self.memories.iter().enumerate() {
+        for (i, mem) in self.vars.memories().iter().enumerate() {
             let _ = writeln!(s, "  mem{i} [label=\"{mem}\", shape=box3d];");
         }
         let mut edges: BTreeSet<(String, String)> = BTreeSet::new();
@@ -176,7 +289,7 @@ impl Datapath {
                 Signal::Load {
                     reg,
                     src: Source::Fu(fu),
-                } if *reg >= self.var_reg.len() => {
+                } if *reg >= self.vars.var_count() => {
                     edges.insert((format!("fu{fu}"), format!("r{reg}")));
                 }
                 _ => {}
@@ -204,7 +317,8 @@ impl Datapath {
                 Part::Reg(i, reg) => {
                     let d = n.add_net(format!("r{i}_d"), width);
                     let q = n.add_net(format!("r{i}_q"), width);
-                    (reg.name.clone(), vec![("d".into(), d), ("q".into(), q)])
+                    let name = self.reg_name(reg.kind).to_string();
+                    (name, vec![("d".into(), d), ("q".into(), q)])
                 }
                 Part::Fu(i, fu) => {
                     let ports = fu.ports.max(1);
@@ -221,7 +335,7 @@ impl Datapath {
                     let addr = n.add_net(format!("mem{i}_addr"), width);
                     let q = n.add_net(format!("mem{i}_q"), width);
                     let pins = vec![("addr".into(), addr), ("q".into(), q)];
-                    (sanitized("mem_", mem), pins)
+                    (sanitized("mem_", mem).to_string(), pins)
                 }
                 Part::Mux(m) => {
                     let a = n.add_net(format!("mux{m}_a"), width);
@@ -282,7 +396,7 @@ impl Datapath {
             visit(Part::Fu(i, fu), cell.name, Some(cell), fu.width);
         }
         let mem = library.cell(MEM_CELL);
-        for (i, name) in self.memories.iter().enumerate() {
+        for (i, name) in self.vars.memories().iter().enumerate() {
             visit(Part::Memory(i, name), MEM_CELL, mem, 32);
         }
         let mux = library.cell(MUX_CELL);
@@ -311,7 +425,9 @@ enum Part<'a> {
     Mux(usize),
 }
 
-/// Builds the shared datapath for a scheduled behavior.
+/// Builds the shared datapath for a scheduled behavior, with a
+/// [`VariableTable`] of its own. A caller that builds many datapaths of
+/// one behavior builds the table once and calls [`build_datapath_with`].
 ///
 /// # Errors
 ///
@@ -323,20 +439,27 @@ pub fn build_datapath(
     library: &Library,
     strategy: FuStrategy,
 ) -> Result<Datapath, AllocError> {
-    // Pass 1: variable registers from every block boundary crossing.
-    let mut regs: Vec<RegDesc> = Vec::new();
-    let mut var_reg: BTreeMap<String, usize> = BTreeMap::new();
-    for (name, width) in variable_widths(cdfg) {
-        var_reg.insert(name.to_string(), regs.len());
-        regs.push(RegDesc {
-            name: sanitized("rv_", name),
-            width,
-            kind: RegKind::Var(name.to_string()),
-        });
-    }
-    let n_vars = regs.len();
+    let vars = Arc::new(VariableTable::new(cdfg));
+    build_datapath_with(&vars, cdfg, schedule, classifier, library, strategy)
+}
 
-    // Pass 2: per block, the register map and the FU binding.
+/// [`build_datapath`] against `vars`, which must be the table of `cdfg`;
+/// the datapath shares it.
+///
+/// # Errors
+///
+/// As [`build_datapath`].
+pub fn build_datapath_with(
+    vars: &Arc<VariableTable>,
+    cdfg: &Cdfg,
+    schedule: &CdfgSchedule,
+    classifier: &OpClassifier,
+    library: &Library,
+    strategy: FuStrategy,
+) -> Result<Datapath, AllocError> {
+    let n_vars = vars.var_count();
+
+    // Pass 1: per block, the register map and the FU binding.
     let order = cdfg.block_order();
     let mut temp_widths: Vec<u8> = Vec::new();
     let mut fu_slots: BTreeMap<FuClass, usize> = BTreeMap::new(); // max per class
@@ -353,16 +476,11 @@ pub fn build_datapath(
                 block: cdfg.block(block).name.clone(),
             })?;
         // The block's one register map, read by the binder and by the
-        // signal record: block inputs in the registers of the variables
-        // they read (an assignment may rename the value itself), temps
+        // signal record: block inputs in their variable registers, temps
         // (left-edge over the op results) after the variables.
         let mut value_reg = DenseMap::with_len(dfg.value_capacity());
-        for &v in dfg.inputs() {
-            if let ValueDef::BlockInput(name) = &dfg.value(v).def {
-                if let Some(&r) = var_reg.get(name) {
-                    value_reg.insert(v, r);
-                }
-            }
+        for &(v, r) in vars.blocks.get(block).map_or(&[][..], |b| &b.inputs) {
+            value_reg.insert(v, r);
         }
         let mut intervals = value_intervals(dfg, sched);
         intervals.retain(|iv| matches!(dfg.value(iv.value).def, ValueDef::Op(_)));
@@ -425,14 +543,13 @@ pub fn build_datapath(
         }
     }
 
-    // Pass 3: rebind per block onto the global tables, recording each
+    // Pass 2: rebind per block onto the global tables, recording each
     // step's signals into the one table.
     let mut blocks: HashMap<BlockId, BlockBinding> = HashMap::with_capacity(bound.len());
     let mut table = SignalTable::default();
     let mut mux_inputs = 0usize;
-    let mut conn = Connections::default();
     let mut local_to_global: Vec<usize> = Vec::new();
-    for (block, dfg, sched, fu_alloc, value_reg) in bound {
+    for (b, (block, dfg, sched, fu_alloc, value_reg)) in bound.into_iter().enumerate() {
         // Local unit -> global: i-th unit of class c maps to base(c) + rank.
         let mut class_rank: BTreeMap<FuClass, usize> = BTreeMap::new();
         local_to_global.clear();
@@ -452,92 +569,103 @@ pub fn build_datapath(
         for f in op_fu.values_mut() {
             *f = local_to_global[*f];
         }
-        let writes: Vec<OutputWrite> = dfg
-            .outputs()
-            .iter()
-            .map(|(name, v)| OutputWrite {
-                var: name.clone(),
-                value: *v,
-            })
-            .collect();
         let signals = Resolver::new(dfg, classifier, sched, &op_fu, &value_reg)
-            .signals(&writes, &var_reg, &mut table)?;
+            .signals(vars.writes(block), &mut table)?;
         // Each FU port's and register's distinct sources over the block.
         // Loads of chained free ops into temporaries (`r5<=r2>>`) are left
         // out: counting them would move `mux_inputs` and every area built
         // on it, so they wait for mux trees wired per sink.
-        conn.clear();
         for &i in signals.iter().flatten() {
-            let (sink, src) = match table.signals[i] {
-                Signal::PortSel { fu, port, ref src } => (Sink::Port { fu, port }, src),
-                Signal::Load { reg, ref src }
-                    if reg < n_vars || !matches!(src, Source::Free(..)) =>
-                {
-                    (Sink::Reg(reg), src)
-                }
-                _ => continue,
-            };
-            conn.connect(sink, src);
+            let free_temp = matches!(table.signals[i],
+                Signal::Load { reg, src: Source::Free(..) } if reg >= n_vars);
+            if !free_temp {
+                mux_inputs += table.wire(i, b + 1);
+            }
         }
-        mux_inputs += conn.mux_inputs();
-        blocks.insert(
-            block,
-            BlockBinding {
-                op_fu,
-                value_reg,
-                writes,
-                signals,
-            },
-        );
+        let binding = BlockBinding {
+            op_fu,
+            value_reg,
+            signals,
+        };
+        blocks.insert(block, binding);
     }
 
-    for (t, &width) in temp_widths.iter().enumerate() {
-        regs.push(RegDesc {
-            name: format!("rt{t}"),
-            width,
-            kind: RegKind::Temp(t),
-        });
-    }
-
-    let memories = memory_names(cdfg);
+    let var_regs = (0..).zip(vars.widths()).map(|(v, w)| (w, RegKind::Var(v)));
+    let temps = (0..).zip(&temp_widths).map(|(t, &w)| (w, RegKind::Temp(t)));
+    let reg = |(width, kind)| RegDesc { width, kind };
 
     Ok(Datapath {
         fus,
-        regs,
-        var_reg,
+        regs: var_regs.chain(temps).map(reg).collect(),
+        vars: Arc::clone(vars),
         blocks,
-        memories,
         signals: table.signals,
         mux_inputs,
     })
 }
 
 /// The datapath's signal table under construction: every distinct
-/// signal once, found again without hashing in the bucket of its FU
-/// (operation selects) or of its sink (operand selects and loads).
+/// signal once, found again without hashing along a chain threaded
+/// through the table, one chain per FU (operation selects) and one per
+/// sink (operand selects and loads).
 #[derive(Default)]
 struct SignalTable {
     signals: Vec<Signal>,
-    ops: Vec<Vec<usize>>,
-    wires: PerSink<Vec<usize>>,
+    /// Per signal: the next signal of its chain, and the last block
+    /// (counted from 1) that [`SignalTable::wire`] wired it in.
+    links: Vec<(Option<usize>, usize)>,
+    /// The head of each FU's chain.
+    ops: Vec<Option<usize>>,
+    sinks: PerSink<Wiring>,
+}
+
+/// A sink's chain head, and the sources the latest block wired into it.
+#[derive(Clone, Copy, Default)]
+struct Wiring {
+    head: Option<usize>,
+    block: usize,
+    sources: usize,
 }
 
 impl SignalTable {
     /// The table index of `signal`, added when new.
     fn intern(&mut self, signal: Signal) -> usize {
-        let bucket = match signal {
+        let head = match signal {
             Signal::FuOp { fu, .. } => grown(&mut self.ops, fu),
-            Signal::PortSel { fu, port, .. } => self.wires.slot(Sink::Port { fu, port }),
-            Signal::Load { reg, .. } => self.wires.slot(Sink::Reg(reg)),
+            Signal::PortSel { fu, port, .. } => &mut self.sinks.slot(Sink::Port { fu, port }).head,
+            Signal::Load { reg, .. } => &mut self.sinks.slot(Sink::Reg(reg)).head,
         };
-        match bucket.iter().find(|&&i| self.signals[i] == signal) {
-            Some(&i) => i,
-            None => {
-                bucket.push(self.signals.len());
-                self.signals.push(signal);
-                self.signals.len() - 1
+        let mut at = *head;
+        while let Some(i) = at {
+            if self.signals[i] == signal {
+                return i;
             }
+            at = self.links[i].0;
         }
+        let i = self.signals.len();
+        self.links.push((head.replace(i), 0));
+        self.signals.push(signal);
+        i
+    }
+
+    /// The mux inputs that wiring signal `i` in `block` (counted from 1)
+    /// adds: an operand select or a load wires its source into its sink,
+    /// at the one interconnect [`price`] of a source new to the sink in
+    /// this block.
+    fn wire(&mut self, i: usize, block: usize) -> usize {
+        let sink = match self.signals[i] {
+            Signal::PortSel { fu, port, .. } => Sink::Port { fu, port },
+            Signal::Load { reg, .. } => Sink::Reg(reg),
+            Signal::FuOp { .. } => return 0,
+        };
+        let new = std::mem::replace(&mut self.links[i].1, block) != block;
+        let wiring = self.sinks.slot(sink);
+        if wiring.block != block {
+            (wiring.block, wiring.sources) = (block, 0);
+        }
+        let cost = price(new, wiring.sources);
+        wiring.sources += usize::from(new);
+        cost
     }
 }
 
@@ -620,7 +748,6 @@ impl<'a> Resolver<'a> {
     fn signals(
         &self,
         writes: &[OutputWrite],
-        var_reg: &BTreeMap<String, usize>,
         table: &mut SignalTable,
     ) -> Result<Vec<Vec<usize>>, AllocError> {
         let steps = self.sched.num_steps().max(1);
@@ -655,56 +782,14 @@ impl<'a> Resolver<'a> {
             }
             if step + 1 == steps {
                 for w in writes {
-                    if let Some(&reg) = var_reg.get(&w.var) {
-                        let src = self.source(w.value, steps)?;
-                        signals.push(table.intern(Signal::Load { reg, src }));
-                    }
+                    let src = self.source(w.value, steps)?;
+                    signals.push(table.intern(Signal::Load { reg: w.reg, src }));
                 }
             }
             out.push(signals);
         }
         Ok(out)
     }
-}
-
-/// The variable registers a behavior needs, independent of any schedule:
-/// one per named variable crossing a block boundary (program inputs
-/// included), at the maximum width seen across crossings. This is
-/// exactly pass 1 of [`build_datapath`]; the QoR estimator calls it to
-/// price variable registers without allocating. The names are borrowed
-/// from `cdfg`, so no crossing copies one.
-pub fn variable_widths(cdfg: &Cdfg) -> BTreeMap<&str, u8> {
-    let mut var_widths: BTreeMap<&str, u8> = BTreeMap::new();
-    for (name, width) in cdfg.inputs() {
-        var_widths.insert(name, *width);
-    }
-    for block in cdfg.block_order() {
-        let dfg = &cdfg.block(block).dfg;
-        let inputs = dfg.inputs().iter().map(|&v| (&dfg.value(v).name, v));
-        for (name, v) in inputs.chain(dfg.outputs().iter().map(|(name, v)| (name, *v))) {
-            let width = dfg.value(v).width;
-            let w = var_widths.entry(name).or_insert(width);
-            *w = (*w).max(width);
-        }
-    }
-    var_widths
-}
-
-/// The named memories a behavior accesses (sorted, deduplicated) —
-/// schedule-independent; each becomes one single-port RAM instance.
-pub fn memory_names(cdfg: &Cdfg) -> Vec<String> {
-    let order = cdfg.block_order();
-    let mut memories: Vec<&str> = order
-        .iter()
-        .flat_map(|&b| {
-            let dfg = &cdfg.block(b).dfg;
-            dfg.op_ids()
-                .filter_map(move |op| dfg.op(op).memory.as_deref())
-        })
-        .collect();
-    memories.sort_unstable();
-    memories.dedup();
-    memories.into_iter().map(str::to_string).collect()
 }
 
 /// The library cell class implementing an FU class — the binding
@@ -723,14 +808,12 @@ pub fn cell_class_for(class: FuClass) -> CellClass {
 }
 
 /// `prefix` then `name` with every non-alphanumeric character as `_`.
-fn sanitized(prefix: &str, name: &str) -> String {
-    let mut s = String::with_capacity(prefix.len() + name.len());
-    s.push_str(prefix);
-    s.extend(
-        name.chars()
-            .map(|c| if c.is_alphanumeric() { c } else { '_' }),
-    );
-    s
+fn sanitized<'a>(prefix: &'a str, name: &'a str) -> impl fmt::Display + 'a {
+    fmt::from_fn(move |f| {
+        f.write_str(prefix)?;
+        let mut chars = name.chars();
+        chars.try_for_each(|c| f.write_char(if c.is_alphanumeric() { c } else { '_' }))
+    })
 }
 
 #[cfg(test)]
@@ -756,11 +839,11 @@ mod tests {
         assert_eq!(dp.fu_count(), 2);
         assert!(dp.fus.iter().all(|f| f.class == FuClass::Universal));
         // Variable registers for X, Y, I plus the loop-exit flag.
-        assert!(dp.var_reg.contains_key("X"));
-        assert!(dp.var_reg.contains_key("Y"));
-        assert!(dp.var_reg.contains_key("I"));
+        assert!(dp.vars.register("X").is_some());
+        assert!(dp.vars.register("Y").is_some());
+        assert!(dp.vars.register("I").is_some());
         // The narrowed counter register is 2 bits wide.
-        let i_reg = &dp.regs[dp.var_reg["I"]];
+        let i_reg = &dp.regs[dp.vars.register("I").unwrap()];
         assert_eq!(i_reg.width, 2);
         assert!(dp.mux_inputs > 0);
         assert_eq!(dp.blocks.len(), cdfg.block_order().len());
@@ -857,7 +940,7 @@ mod tests {
                         let netlist = dp.to_netlist(&cdfg, &lib).unwrap();
                         let priced = dp.area(&lib).unwrap();
                         assert_eq!(bits(&priced), bits(&hls_rtl::estimate(&netlist, &lib)));
-                        memories += dp.memories.len();
+                        memories += dp.vars.memories().len();
                     }
                 }
             }
@@ -917,10 +1000,10 @@ mod tests {
             resolve(&op_fu, &value_reg, value, step + 1),
             Ok(Source::Reg(value_reg[&value]))
         );
-        assert_eq!(value_reg[&input], dp.var_reg[var]);
+        assert_eq!(value_reg[&input], dp.vars.register(var).unwrap());
         assert_eq!(
             resolve(&op_fu, &value_reg, input, 0),
-            Ok(Source::Reg(dp.var_reg[var]))
+            Ok(Source::Reg(dp.vars.register(var).unwrap()))
         );
         op_fu.remove(op);
         value_reg.remove(value);
@@ -969,8 +1052,8 @@ mod tests {
         .unwrap();
         let binding = &dp.blocks[&block];
         let load = Signal::Load {
-            reg: dp.var_reg["X"],
-            src: Source::Reg(dp.var_reg["Y"]),
+            reg: dp.vars.register("X").unwrap(),
+            src: Source::Reg(dp.vars.register("Y").unwrap()),
         };
         let last = binding.signals.last().unwrap();
         assert!(last.iter().any(|&i| dp.signals[i] == load));

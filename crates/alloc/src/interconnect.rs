@@ -114,19 +114,13 @@ impl Connections {
             self.mux_inputs -= price(true, list.len());
         }
     }
-
-    /// Takes out every wire, keeping each sink's list for the next use.
-    pub(crate) fn clear(&mut self) {
-        let PerSink { ports, regs } = &mut self.sinks;
-        ports.iter_mut().flatten().chain(regs).for_each(Vec::clear);
-        self.mux_inputs = 0;
-    }
 }
 
 /// The one interconnect price: a source `new` to a sink adds a mux input
 /// unless it is the sink's first (`others` sources already drive it).
-/// Taking the wire back refunds the same.
-fn price(new: bool, others: usize) -> usize {
+/// Taking the wire back refunds the same. [`Connections`] and the
+/// datapath's mux count both price with it.
+pub(crate) fn price(new: bool, others: usize) -> usize {
     usize::from(new && others > 0)
 }
 

@@ -13,23 +13,24 @@
 //!   interconnect.
 //! * [`build_datapath`] — whole-behavior datapath assembly: each operand
 //!   resolved once to a [`Source`], each step's control [`Signal`]s
-//!   recorded for the controller, the RTL simulator and netlist export.
-//!   [`Datapath::area`] prices the cells the netlist would instantiate
-//!   without building it.
+//!   recorded for the controller, the RTL simulator and netlist export,
+//!   against a [`VariableTable`] a prepared behavior builds once.
+//!   [`Datapath::area`] prices the cells the netlist would instantiate.
 //!
 //! The binders, the interconnect views and [`build_datapath`] share one
 //! operand-source model: one resolver turns an operand into a [`Source`],
-//! and [`Connections`] holds the one wiring price (a source new to a sink
-//! that other sources already drive costs one mux input). A value read
+//! and one wiring price (a source new to a sink that other sources
+//! already drive costs one mux input) prices every mux input. A value read
 //! without its register, or a same-step producer without a unit, is an
 //! [`AllocError`], so every binder and view but clique partitioning
 //! returns a `Result`.
 //!
 //! The data is index-typed: bindings are dense id maps
 //! ([`hls_cdfg::DenseMap`]), [`Connections`] keeps a short source list
-//! per FU port and register, and the [`Datapath`] owns one table of the
-//! distinct [`Signal`]s its blocks record, which each step lists by
-//! index. Nothing on the back-half path hashes a source or a signal.
+//! per FU port and register for the binders, and the [`Datapath`] owns
+//! one table of the distinct [`Signal`]s its blocks record, chained per
+//! sink, which each step lists by index. Nothing on the back-half path
+//! hashes a source or a signal.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,8 +47,8 @@ mod signal;
 
 pub use clique::{max_clique, partition_max_clique, partition_tseng, CompatGraph};
 pub use datapath::{
-    build_datapath, cell_class_for, memory_names, variable_widths, BlockBinding, Datapath, FuDesc,
-    FuStrategy, OutputWrite, RegDesc, RegKind,
+    build_datapath, build_datapath_with, cell_class_for, BlockBinding, Datapath, FuDesc,
+    FuStrategy, OutputWrite, RegDesc, RegKind, VariableTable,
 };
 pub use error::AllocError;
 pub use fu::{

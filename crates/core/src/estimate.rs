@@ -72,8 +72,8 @@ use hls_cdfg::{BlockId, LoopKind, Region, ValueDef};
 use hls_rtl::WIRING_FACTOR;
 use hls_sched::{Algorithm, ClassStats, FuClass, ResourceLimits, SchedGraph};
 
-use crate::explore::{configure, GridPoint};
-use crate::pipeline::{ControlStyle, PreparedBehavior, Synthesizer};
+use crate::explore::GridPoint;
+use crate::pipeline::{debug_fingerprint, PreparedBehavior, Synthesizer};
 
 /// A sound QoR interval prediction for one grid point.
 ///
@@ -149,6 +149,12 @@ struct BlockBounds {
 /// [`PreparedBehavior`] and then queried per [`GridPoint`].
 pub struct Estimator<'a> {
     base: &'a Synthesizer,
+    /// The base configuration's fingerprint, which every point's
+    /// effective fingerprint extends.
+    base_fingerprint: u64,
+    /// The limits every saturated point behaves as: the per-class
+    /// dependence-ASAP peaks.
+    saturated_limits: ResourceLimits,
     prepared: &'a PreparedBehavior,
     blocks: Vec<BlockFacts>,
     var_area: f64,
@@ -204,22 +210,30 @@ impl<'a> Estimator<'a> {
                 outputs: dfg.outputs().len(),
             });
         }
-        // Exact, schedule-independent area components (pricing mirrors
-        // Datapath::to_netlist + hls_rtl::estimate, where instances of
-        // unknown cells are charged zero).
+        // Exact, schedule-independent area components from the prepared
+        // variable table (pricing mirrors Datapath::to_netlist +
+        // hls_rtl::estimate, where instances of unknown cells are charged
+        // zero).
         let price = |name: &str, width: u8| library.cell(name).map_or(0.0, |c| c.area(width));
-        let var_area: f64 = hls_alloc::variable_widths(cdfg)
-            .values()
-            .map(|&w| price("reg_dff", w))
-            .sum();
-        let mem_area = hls_alloc::memory_names(cdfg).len() as f64 * price("mem_1rw", 32);
+        let var_area: f64 = prepared.vars.widths().map(|w| price("reg_dff", w)).sum();
+        let mem_area = prepared.vars.memories().len() as f64 * price("mem_1rw", 32);
         let temp_hi = blocks.iter().map(|b| b.op_values).max().unwrap_or(0);
         let mux_hi = blocks
             .iter()
             .map(|b| b.operand_refs + b.classed_ops + b.outputs)
             .sum();
+        let mut peaks: BTreeMap<FuClass, usize> = BTreeMap::new();
+        for s in blocks.iter().flat_map(|b| &b.stats).filter(|s| s.ops > 0) {
+            let e = peaks.entry(s.class).or_insert(0);
+            *e = (*e).max(s.asap_peak);
+        }
+        let saturated_limits = peaks
+            .into_iter()
+            .fold(ResourceLimits::unlimited(), |l, (c, p)| l.with(c, p.max(1)));
         Estimator {
             base,
+            base_fingerprint: base.fingerprint(),
+            saturated_limits,
             prepared,
             blocks,
             var_area,
@@ -235,8 +249,8 @@ impl<'a> Estimator<'a> {
     /// in the number of ops (and only for time-constrained algorithms,
     /// which need per-deadline window supports).
     pub fn estimate(&self, point: &GridPoint) -> QorEstimate {
-        let syn = configure(self.base, point);
-        let limits = syn.limits_ref().clone();
+        // The limits `configure` gives the point.
+        let limits = ResourceLimits::universal(point.fus);
         let library = self.base.library_ref();
         let mut bounded = true;
 
@@ -293,7 +307,7 @@ impl<'a> Estimator<'a> {
             fu_cost: (fu_lo, fu_hi),
             register_cost,
             area,
-            fingerprint: self.canonical_fingerprint(syn, point),
+            fingerprint: self.canonical_fingerprint(&limits, point.algorithm),
             bounded,
         }
     }
@@ -315,42 +329,25 @@ impl<'a> Estimator<'a> {
     }
 
     /// Fingerprint of the *effective* configuration — see
-    /// [`QorEstimate::fingerprint`].
-    fn canonical_fingerprint(&self, mut syn: Synthesizer, point: &GridPoint) -> u64 {
-        // Control style affects only the controller report, never the
-        // datapath netlist or the schedule: erase it.
-        syn.set_control(ControlStyle::Microcode);
-        match point.algorithm {
+    /// [`QorEstimate::fingerprint`]: the base configuration's fingerprint,
+    /// then the point's canonical limits and its algorithm. A grid point
+    /// differs from the base only in limits, algorithm and control style,
+    /// and the control style never enters the schedule or the datapath,
+    /// so it is left out.
+    fn canonical_fingerprint(&self, limits: &ResourceLimits, algorithm: Algorithm) -> u64 {
+        let unlimited = ResourceLimits::unlimited();
+        let limits = match algorithm {
+            // Time-constrained schedulers never read limits.
             Algorithm::ForceDirected { .. }
             | Algorithm::HierForce { .. }
-            | Algorithm::FreedomBased { .. } => {
-                // Time-constrained schedulers never read limits.
-                syn.set_limits(ResourceLimits::unlimited());
+            | Algorithm::FreedomBased { .. } => &unlimited,
+            // All saturated limit choices behave identically.
+            Algorithm::Asap | Algorithm::List(_) if self.saturated(limits) => {
+                &self.saturated_limits
             }
-            Algorithm::Asap | Algorithm::List(_) => {
-                let limits = syn.limits_ref().clone();
-                if self.saturated(&limits) {
-                    // All saturated limit choices behave identically:
-                    // canonicalize to the dependence-ASAP peaks.
-                    let mut peaks: BTreeMap<FuClass, usize> = BTreeMap::new();
-                    for b in &self.blocks {
-                        for s in &b.stats {
-                            if s.ops > 0 {
-                                let e = peaks.entry(s.class).or_insert(0);
-                                *e = (*e).max(s.asap_peak);
-                            }
-                        }
-                    }
-                    let mut canon = ResourceLimits::unlimited();
-                    for (class, peak) in peaks {
-                        canon = canon.with(class, peak.max(1));
-                    }
-                    syn.set_limits(canon);
-                }
-            }
-            _ => {}
-        }
-        syn.fingerprint()
+            _ => limits,
+        };
+        debug_fingerprint(&(self.base_fingerprint, limits, algorithm))
     }
 }
 
@@ -620,7 +617,8 @@ pub struct PruneStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::GridSpec;
+    use crate::explore::{configure, GridSpec};
+    use crate::ControlStyle;
     use hls_sched::Priority;
 
     fn grid(fus: Vec<usize>, algorithms: Vec<Algorithm>) -> Vec<GridPoint> {

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hls_alloc::{build_datapath, Datapath, FuStrategy};
+use hls_alloc::{build_datapath_with, Datapath, FuStrategy, VariableTable};
 use hls_cdfg::{Cdfg, Fx};
 use hls_ctrl::{build_fsm, hardwired_logic, microcode, EncodingStyle, Fsm, HardwiredReport};
 use hls_opt::PassStats;
@@ -247,21 +247,6 @@ impl Synthesizer {
         self.algorithm
     }
 
-    /// The currently configured resource limits (read by the QoR
-    /// estimator, which mirrors the scheduler dispatch without running
-    /// a scheduler).
-    pub(crate) fn limits_ref(&self) -> &ResourceLimits {
-        &self.limits
-    }
-
-    /// Replaces the resource limits wholesale. Only the estimator's
-    /// canonicalization uses this: the public surface stays at
-    /// [`Synthesizer::universal_fus`] / [`Synthesizer::typed_fus`],
-    /// which keep the classifier consistent.
-    pub(crate) fn set_limits(&mut self, limits: ResourceLimits) {
-        self.limits = limits;
-    }
-
     /// The currently configured component library.
     pub(crate) fn library_ref(&self) -> &Library {
         &self.library
@@ -321,15 +306,15 @@ impl Synthesizer {
     }
 
     /// Runs the front-of-pipeline transformations (if-conversion,
-    /// unrolling, optimization) and the per-block dependence/bound
-    /// analysis once, producing a [`PreparedBehavior`] that
+    /// unrolling, optimization), the per-block dependence/bound analysis
+    /// and the variable table once, producing a [`PreparedBehavior`] that
     /// [`Synthesizer::synthesize_prepared`] can consume repeatedly.
     ///
     /// A design-space sweep prepares a behavior once and then synthesizes
-    /// it at many (FU, algorithm, control) grid points: the passes and
-    /// the topological/ASAP/ALAP analyses depend only on the behavior and
-    /// the classifier, not on the per-point overrides, so they drop out
-    /// of the per-point cost.
+    /// it at many (FU, algorithm, control) grid points: the passes, the
+    /// topological/ASAP/ALAP analyses and the variable registers depend
+    /// only on the behavior and the classifier, not on the per-point
+    /// overrides, so they drop out of the per-point cost.
     ///
     /// # Errors
     ///
@@ -346,11 +331,13 @@ impl Synthesizer {
             pass_stats = hls_opt::optimize(&mut cdfg);
         }
         let bounds = CdfgBoundsCache::build(&cdfg, &self.classifier)?;
+        let vars = Arc::new(VariableTable::new(&cdfg));
         Ok(PreparedBehavior {
             cdfg,
             pass_stats,
             classifier: self.classifier,
             bounds,
+            vars,
         })
     }
 
@@ -472,8 +459,14 @@ impl Synthesizer {
         stage_nanos.schedule = elapsed_nanos(t0);
         cancel.check("schedule")?;
         let t0 = Instant::now();
-        let datapath =
-            build_datapath(cdfg, &schedule, classifier, &self.library, self.fu_strategy)?;
+        let datapath = build_datapath_with(
+            &prepared.vars,
+            cdfg,
+            &schedule,
+            classifier,
+            &self.library,
+            self.fu_strategy,
+        )?;
         stage_nanos.allocate = elapsed_nanos(t0);
         cancel.check("allocate")?;
         let t0 = Instant::now();
@@ -503,15 +496,18 @@ fn elapsed_nanos(since: Instant) -> u64 {
 }
 
 /// A behavior with the configuration-independent front half of the
-/// pipeline already run: transformation passes applied and per-block
-/// dependence/bound analyses built. Produced by [`Synthesizer::prepare`],
-/// consumed by [`Synthesizer::synthesize_prepared`].
+/// pipeline already run: transformation passes applied, per-block
+/// dependence/bound analyses built, and the variable table (variable
+/// registers, block crossings, memories) that every datapath built from
+/// it shares. Produced by [`Synthesizer::prepare`], consumed by
+/// [`Synthesizer::synthesize_prepared`] and the QoR estimator.
 #[derive(Clone, Debug)]
 pub struct PreparedBehavior {
     cdfg: Cdfg,
     pass_stats: Vec<PassStats>,
     classifier: OpClassifier,
     bounds: CdfgBoundsCache,
+    pub(crate) vars: Arc<VariableTable>,
 }
 
 impl PreparedBehavior {
@@ -569,7 +565,7 @@ pub fn cdfg_fingerprint(cdfg: &Cdfg) -> u64 {
 
 /// Streams `value`'s `Debug` rendering through an FNV-1a hasher without
 /// materializing the string.
-fn debug_fingerprint(value: &impl std::fmt::Debug) -> u64 {
+pub(crate) fn debug_fingerprint(value: &impl std::fmt::Debug) -> u64 {
     use std::fmt::Write as _;
     let mut w = hls_testkit::FnvWriter::new();
     // Writing into the hasher cannot fail.

@@ -8,17 +8,22 @@
 //!   the result clones.
 //! * A point of the serial `hls_core::sweep_grid_cdfg` runs only what its
 //!   summary reads: schedule → datapath → controller → area. The sweep's
-//!   one `prepare` is counted apart and left out of the per-point mean.
+//!   one `prepare`, which builds the variable table every point's
+//!   datapath shares, is counted apart and left out of the per-point mean.
 //!
 //! The inputs are fixed: the DIFFEQ program and a 150-op random DAG, each
 //! on 1–4 universal FUs under microcode and hardwired/binary control. The
 //! tests print each stage's mean count and fail when the mean per point
-//! exceeds the budget.
+//! exceeds the budget. Two datapath rows are printed: `datapath` is the
+//! standalone `build_datapath`, which builds a table of its own, and
+//! `shared` builds against a table built once, as a prepared point does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hls_alloc::{build_datapath, FuStrategy};
+use std::sync::Arc;
+
+use hls_alloc::{build_datapath, build_datapath_with, FuStrategy, VariableTable};
 use hls_cdfg::Cdfg;
 use hls_core::{sweep_grid_cdfg, ControlStyle, GridSpec, PreparedBehavior, Synthesizer};
 use hls_ctrl::{build_fsm, hardwired_logic, microcode, EncodingStyle};
@@ -27,14 +32,14 @@ use hls_sched::{schedule_cdfg_cached, Algorithm, Priority, ResourceLimits};
 use hls_workloads::random::{random_dag, RandomDagConfig};
 
 /// Mean allocations per point the back half may make: the count measured
-/// when the budget was set (2 755.4), plus 10%.
-const BUDGET: f64 = 3_030.0;
+/// when the budget was set (2 529.4), plus 10%.
+const BUDGET: f64 = 2_782.0;
 
 /// Mean allocations per synthesized point of a serial sweep: the count
-/// measured when the budget was set (677.5), plus 10%. A point that
-/// built the control logic or ROM, the netlist or a behavior copy again
-/// would exceed it.
-const SWEEP_BUDGET: f64 = 745.0;
+/// measured when the budget was set (451.0), plus 10%. A point that
+/// built the control logic or ROM, the netlist, a behavior copy or its
+/// own variable table again would exceed it.
+const SWEEP_BUDGET: f64 = 496.0;
 
 struct Counting;
 
@@ -83,24 +88,32 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
-const STAGES: [&str; 7] = [
-    "schedule", "datapath", "fsm", "control", "netlist", "area", "clone",
+const STAGES: [&str; 8] = [
+    "schedule", "datapath", "shared", "fsm", "control", "netlist", "area", "clone",
 ];
 
 /// The default flow's scheduler, which every point here runs.
 const ALGORITHM: Algorithm = Algorithm::List(Priority::PathLength);
 
-/// The back half of `synthesize_prepared`, stage by stage, for one point.
-fn stage_counts(prepared: &PreparedBehavior, fus: usize, control: ControlStyle) -> [u64; 7] {
+/// The back half of `synthesize_prepared`, stage by stage, for one point;
+/// `vars` is the behavior's table, built once.
+fn stage_counts(
+    prepared: &PreparedBehavior,
+    vars: &Arc<VariableTable>,
+    fus: usize,
+    control: ControlStyle,
+) -> [u64; 8] {
     let cdfg = prepared.cdfg();
     let cls = prepared.classifier();
     let library = Library::standard();
     let limits = ResourceLimits::universal(fus);
     let (schedule, schedule_n) =
         counted(|| schedule_cdfg_cached(cdfg, cls, &limits, ALGORITHM, prepared.bounds()).unwrap());
-    let (datapath, datapath_n) = counted(|| {
-        build_datapath(cdfg, &schedule, cls, &library, FuStrategy::GreedyAware).unwrap()
-    });
+    let strategy = FuStrategy::GreedyAware;
+    let (_, datapath_n) =
+        counted(|| build_datapath(cdfg, &schedule, cls, &library, strategy).unwrap());
+    let (datapath, shared_n) =
+        counted(|| build_datapath_with(vars, cdfg, &schedule, cls, &library, strategy).unwrap());
     let (fsm, fsm_n) = counted(|| build_fsm(cdfg, &schedule, &datapath, cls).unwrap());
     let ((), control_n) = counted(|| match control {
         ControlStyle::Hardwired(style) => drop(hardwired_logic(&fsm, style).unwrap()),
@@ -113,7 +126,7 @@ fn stage_counts(prepared: &PreparedBehavior, fus: usize, control: ControlStyle) 
     let (_, area_n) = counted(|| datapath.area(&library).unwrap());
     let (_, clone_n) = counted(|| cdfg.clone());
     [
-        schedule_n, datapath_n, fsm_n, control_n, netlist_n, area_n, clone_n,
+        schedule_n, datapath_n, shared_n, fsm_n, control_n, netlist_n, area_n, clone_n,
     ]
 }
 
@@ -138,9 +151,10 @@ const CONTROLS: [ControlStyle; 2] = [
 #[test]
 fn back_half_stays_within_its_allocation_budget() {
     let (mut total, mut points) = (0u64, 0u64);
-    let mut stages = [0u64; 7];
+    let mut stages = [0u64; 8];
     for cdfg in inputs() {
         let prepared = Synthesizer::new().prepare(cdfg).unwrap();
+        let vars = Arc::new(VariableTable::new(prepared.cdfg()));
         for fus in 1..=4 {
             for control in CONTROLS {
                 let synth = Synthesizer::new()
@@ -151,7 +165,10 @@ fn back_half_stays_within_its_allocation_budget() {
                 drop(result);
                 total += n;
                 points += 1;
-                for (sum, n) in stages.iter_mut().zip(stage_counts(&prepared, fus, control)) {
+                for (sum, n) in stages
+                    .iter_mut()
+                    .zip(stage_counts(&prepared, &vars, fus, control))
+                {
                     *sum += n;
                 }
             }
@@ -177,35 +194,37 @@ fn sweep_point_stays_within_its_allocation_budget() {
     };
     let base = Synthesizer::new();
     let (mut sweeps, mut prepares, mut points) = (0u64, 0u64, 0u64);
-    let mut stages = [0u64; 7];
+    let mut stages = [0u64; 8];
     let inputs = inputs();
     let runs = inputs.len();
     for cdfg in inputs {
         let (prepared, n) = counted(|| base.prepare(cdfg.clone()).unwrap());
         prepares += n;
+        let vars = Arc::new(VariableTable::new(prepared.cdfg()));
         let (swept, n) = counted(|| sweep_grid_cdfg(&base, &cdfg, &spec).unwrap());
         sweeps += n;
         points += swept.len() as u64;
         for p in spec.expand() {
             for (sum, n) in stages
                 .iter_mut()
-                .zip(stage_counts(&prepared, p.fus, p.control))
+                .zip(stage_counts(&prepared, &vars, p.fus, p.control))
             {
                 *sum += n;
             }
         }
     }
     let mean = (sweeps - prepares) as f64 / points as f64;
-    println!(
-        "allocations per sweep point: {mean:.1} (budget {SWEEP_BUDGET}); \
-         prepare: {:.1} per sweep",
-        prepares as f64 / runs as f64
-    );
+    println!("allocations per sweep point: {mean:.1} (budget {SWEEP_BUDGET})");
     for (name, n) in STAGES.iter().zip(stages) {
-        if ["schedule", "datapath", "fsm", "area"].contains(name) {
+        if ["schedule", "datapath", "shared", "fsm", "area"].contains(name) {
             println!("  {name:<9} {:.1}", n as f64 / points as f64);
         }
     }
+    println!(
+        "  {:<9} {:.1} per sweep",
+        "prepare",
+        prepares as f64 / runs as f64
+    );
     assert!(
         mean <= SWEEP_BUDGET,
         "{mean:.1} allocations per sweep point, over the budget of {SWEEP_BUDGET}"

@@ -206,7 +206,7 @@ fn sweep_summaries_equal_full_synthesis() {
             assert_eq!(err.to_string(), first_failure, "{name} {base_name}");
         }
         let r = Synthesizer::new().synthesize(cdfg).unwrap();
-        memories |= !r.datapath.memories.is_empty();
+        memories |= !r.datapath.vars.memories().is_empty();
     }
     assert!(memories, "a program with an array prices a memory");
     assert_eq!(points, 22 * 4 * 50);

@@ -21,7 +21,9 @@
 //!
 //! Job panics are caught per-job and re-raised on the caller of
 //! [`ThreadPool::map`], never on a worker (a poisoned worker would hang
-//! every later sweep).
+//! every later sweep). The pool itself never panics: its locks recover a
+//! poisoned guard, and a pool whose workers could not be spawned runs its
+//! jobs on the submitting thread.
 //!
 //! A caller that builds a pool per operation (a fresh explorer per
 //! sweep) takes it with [`ThreadPool::recycled`]: dropping such a pool
@@ -74,10 +76,11 @@ const MAX_SPARE: usize = 8;
 /// Idle pools parked by dropped recycled pools, oldest first.
 static SPARE: Mutex<Vec<ThreadPool>> = Mutex::new(Vec::new());
 
-/// Locks the spare list. Each update is one push or one removal, so a
-/// guard recovered from a panicked holder still holds a valid list.
-fn spare() -> MutexGuard<'static, Vec<ThreadPool>> {
-    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks `m`, recovering the guard from a panicked holder: every critical
+/// section here is one push, pop or removal, or a flag check, so the
+/// state stays valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -157,7 +160,7 @@ impl ThreadPool {
     pub fn recycled(threads: usize) -> Self {
         let threads = threads.max(1);
         let parked = {
-            let mut spare = spare();
+            let mut spare = lock(&SPARE);
             spare
                 .iter()
                 .position(|p| p.threads() == threads)
@@ -174,13 +177,14 @@ impl ThreadPool {
             lot: Mutex::new(()),
             wake: Condvar::new(),
         });
+        // A worker that cannot be spawned leaves its deque to the others.
         let workers = (0..threads)
-            .map(|id| {
+            .filter_map(|id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("hls-explore-{id}"))
                     .spawn(move || worker_loop(id, &shared))
-                    .expect("spawn worker")
+                    .ok()
             })
             .collect();
         ThreadPool {
@@ -196,18 +200,21 @@ impl ThreadPool {
         self.workers.len()
     }
 
-    /// Submits a job. Jobs may run in any order on any worker.
+    /// Submits a job. Jobs may run in any order on any worker, or on the
+    /// calling thread, before this returns, when no worker could be
+    /// spawned.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        if self.workers.is_empty() {
+            let _ = catch_unwind(AssertUnwindSafe(job));
+            return;
+        }
         // Round-robin across worker deques; stealing rebalances skew.
         let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        self.shared.queues[slot]
-            .lock()
-            .expect("queue lock")
-            .push_back(Box::new(job));
+        lock(&self.shared.queues[slot]).push_back(Box::new(job));
         // Hold the lot lock while notifying so a worker between its
         // pending-check and wait() cannot miss this wakeup.
-        let _lot = self.shared.lot.lock().expect("lot lock");
+        let _lot = lock(&self.shared.lot);
         self.shared.wake.notify_one();
     }
 
@@ -257,17 +264,15 @@ impl ThreadPool {
         if let Some((_, payload)) = panic {
             resume_unwind(payload);
         }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index resolved"))
-            .collect()
+        // Every job runs and sends once, so every slot is filled.
+        slots.into_iter().flatten().collect()
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         if self.recycle && self.shared.pending.load(Ordering::SeqCst) == 0 {
-            let mut spare = spare();
+            let mut spare = lock(&SPARE);
             if spare.len() < MAX_SPARE {
                 spare.push(ThreadPool {
                     shared: Arc::clone(&self.shared),
@@ -280,7 +285,7 @@ impl Drop for ThreadPool {
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
         {
-            let _lot = self.shared.lot.lock().expect("lot lock");
+            let _lot = lock(&self.shared.lot);
             self.shared.wake.notify_all();
         }
         for w in self.workers.drain(..) {
@@ -298,7 +303,7 @@ fn worker_loop(id: usize, shared: &Shared) {
             let _ = catch_unwind(AssertUnwindSafe(job));
             continue;
         }
-        let guard = shared.lot.lock().expect("lot lock");
+        let guard = lock(&shared.lot);
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -308,28 +313,19 @@ fn worker_loop(id: usize, shared: &Shared) {
         if shared.pending.load(Ordering::SeqCst) > 0 {
             continue;
         }
-        let _unused = shared.wake.wait(guard).expect("condvar wait");
+        // A poisoned wake-up is a wake-up too: loop and look again.
+        drop(shared.wake.wait(guard));
     }
 }
 
 fn find_job(id: usize, shared: &Shared) -> Option<Job> {
     // Own deque first, newest job (LIFO): it is the cache-warm one.
-    if let Some(job) = shared.queues[id].lock().expect("queue lock").pop_back() {
+    if let Some(job) = lock(&shared.queues[id]).pop_back() {
         return Some(job);
     }
     // Steal oldest-first from the other deques.
     let n = shared.queues.len();
-    for off in 1..n {
-        let victim = (id + off) % n;
-        if let Some(job) = shared.queues[victim]
-            .lock()
-            .expect("queue lock")
-            .pop_front()
-        {
-            return Some(job);
-        }
-    }
-    None
+    (1..n).find_map(|off| lock(&shared.queues[(id + off) % n]).pop_front())
 }
 
 #[cfg(test)]
@@ -429,7 +425,7 @@ mod tests {
 
         drop(ThreadPool::new(6));
         assert!(
-            spare().iter().all(|p| p.threads() != 6),
+            lock(&SPARE).iter().all(|p| p.threads() != 6),
             "new() never parks"
         );
 
@@ -437,7 +433,32 @@ mod tests {
             .map(|_| ThreadPool::recycled(1))
             .collect();
         drop(pools);
-        assert_eq!(spare().len(), MAX_SPARE, "the list fills, then pools join");
+        assert_eq!(
+            lock(&SPARE).len(),
+            MAX_SPARE,
+            "the list fills, then pools join"
+        );
+    }
+
+    /// A pool whose every worker spawn failed runs `map`'s jobs on the
+    /// caller, in order, and still re-raises a job's panic there.
+    #[test]
+    fn a_pool_without_workers_maps_on_the_caller() {
+        let pool = ThreadPool::spawn(0, false);
+        assert_eq!(pool.threads(), 0);
+        let caller = std::thread::current().id();
+        let out = pool.map((0..5u32).collect(), move |i, x| {
+            (i as u32 + x, std::thread::current().id() == caller)
+        });
+        assert_eq!(out, (0..5).map(|x| (2 * x, true)).collect::<Vec<_>>());
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(
+                vec![0u32, 1],
+                |_, x| if x == 1 { panic!("boom") } else { x },
+            )
+        }));
+        assert!(r.is_err());
+        assert_eq!(pool.map(vec![7u32], |_, x| x), vec![7]);
     }
 
     #[test]

@@ -222,7 +222,7 @@ mod tests {
             FuStrategy::GreedyAware,
         )
         .unwrap();
-        assert!(dp.memories.contains(&"A".to_string()));
+        assert!(dp.vars.memories().contains(&"A".to_string()));
         for n in [0i64, 2, 7, 15] {
             let inputs = BTreeMap::from([("N".to_string(), Fx::from_i64(n))]);
             let eq = check_vector(&cdfg, &sched, &dp, &inputs).unwrap();

@@ -96,13 +96,7 @@ impl<'a> Sim<'a> {
 
     /// Writes the register allocated to variable `name`.
     pub(crate) fn poke_var(&mut self, name: &str, v: Fx) -> Result<(), SimError> {
-        let r = *self
-            .datapath
-            .var_reg
-            .get(name)
-            .ok_or_else(|| SimError::UnboundValue {
-                detail: format!("no register for `{name}`"),
-            })?;
+        let r = self.var_reg(name)?;
         self.regs[r] = v;
         Ok(())
     }
@@ -110,6 +104,14 @@ impl<'a> Sim<'a> {
     /// Reads the register allocated to variable `name`.
     pub(crate) fn peek_var(&self, name: &str) -> Result<Fx, SimError> {
         self.flag(name)
+    }
+
+    /// The register of variable `name`.
+    fn var_reg(&self, name: &str) -> Result<usize, SimError> {
+        let vars = &self.datapath.vars;
+        vars.register(name).ok_or_else(|| SimError::UnboundValue {
+            detail: format!("no register for `{name}`"),
+        })
     }
 
     fn run_region(&mut self, region: &Region) -> Result<(), SimError> {
@@ -161,14 +163,7 @@ impl<'a> Sim<'a> {
     }
 
     fn flag(&self, var: &str) -> Result<Fx, SimError> {
-        let r = *self
-            .datapath
-            .var_reg
-            .get(var)
-            .ok_or_else(|| SimError::UnboundValue {
-                detail: format!("no register for flag `{var}`"),
-            })?;
-        Ok(self.regs[r])
+        Ok(self.regs[self.var_reg(var)?])
     }
 
     pub(crate) fn run_block(&mut self, block: BlockId) -> Result<(), SimError> {
@@ -186,6 +181,7 @@ impl<'a> Sim<'a> {
             .ok_or_else(|| SimError::UnboundValue {
                 detail: format!("no binding for block `{}`", self.cdfg.block(block).name),
             })?;
+        let writes = self.datapath.vars.writes(block);
         let steps = sched.num_steps();
         // Each step evaluates its ops in topological order (chained free
         // ops may depend on step ops in the same cycle).
@@ -250,13 +246,11 @@ impl<'a> Sim<'a> {
             // combinationally via `computed`).
             let mut pending_writes: Vec<(usize, Fx)> = Vec::new();
             if step + 1 == steps {
-                pending_writes = binding
-                    .writes
+                pending_writes = writes
                     .iter()
-                    .filter_map(|w| self.datapath.var_reg.get(&w.var).map(|&r| (r, w.value)))
-                    .map(|(r, v)| {
-                        self.read(dfg, sched, binding, &computed, v, step)
-                            .map(|x| (r, x))
+                    .map(|w| {
+                        self.read(dfg, sched, binding, &computed, w.value, step)
+                            .map(|x| (w.reg, x))
                     })
                     .collect::<Result<_, _>>()?;
             }
@@ -275,14 +269,12 @@ impl<'a> Sim<'a> {
             }
         }
         // Blocks with zero steps still transfer pass-through outputs.
-        if steps == 0 && !binding.writes.is_empty() {
-            let writes: Vec<(usize, Fx)> = binding
-                .writes
+        if steps == 0 && !writes.is_empty() {
+            let writes: Vec<(usize, Fx)> = writes
                 .iter()
-                .filter_map(|w| self.datapath.var_reg.get(&w.var).map(|&r| (r, w.value)))
-                .map(|(r, v)| {
-                    self.read(dfg, sched, binding, &HashMap::new(), v, 0)
-                        .map(|x| (r, x))
+                .map(|w| {
+                    self.read(dfg, sched, binding, &HashMap::new(), w.value, 0)
+                        .map(|x| (w.reg, x))
                 })
                 .collect::<Result<_, _>>()?;
             for (r, x) in writes {
@@ -304,47 +296,25 @@ impl<'a> Sim<'a> {
         value: ValueId,
         step: u32,
     ) -> Result<Fx, SimError> {
-        match dfg.value(value).def {
-            ValueDef::BlockInput(ref name) => {
-                let r = *self
-                    .datapath
-                    .var_reg
-                    .get(name)
-                    .ok_or_else(|| SimError::UnboundValue {
-                        detail: format!("no register for `{name}`"),
-                    })?;
-                Ok(self.regs[r])
+        if let ValueDef::Op(p) = dfg.value(value).def {
+            if dfg.op(p).kind == OpKind::Const {
+                return Ok(dfg.op(p).constant.unwrap_or_default());
             }
-            ValueDef::Op(p) => {
-                if dfg.op(p).kind == OpKind::Const {
-                    return Ok(dfg.op(p).constant.unwrap_or_default());
-                }
-                let def_step = sched.step(p).unwrap_or(0);
-                if def_step < step {
-                    // Registered earlier: must have a temp register.
-                    let r =
-                        *binding
-                            .value_reg
-                            .get(value)
-                            .ok_or_else(|| SimError::UnboundValue {
-                                detail: format!(
-                                    "value v{} crosses steps without a register",
-                                    value.index()
-                                ),
-                            })?;
-                    Ok(self.regs[r])
-                } else {
-                    // Same cycle: combinational (chained free op or the
-                    // producing FU's output before the edge).
-                    computed
-                        .get(&value)
-                        .copied()
-                        .ok_or_else(|| SimError::UnboundValue {
-                            detail: format!("value v{} read before computed", value.index()),
-                        })
-                }
+            if sched.step(p).unwrap_or(0) >= step {
+                // Same cycle: combinational (chained free op or the
+                // producing FU's output before the edge).
+                let unbound = || SimError::UnboundValue {
+                    detail: format!("value v{} read before computed", value.index()),
+                };
+                return computed.get(&value).copied().ok_or_else(unbound);
             }
         }
+        // A block input in its variable register, or a value registered
+        // in an earlier step in its temp register.
+        let unbound = || SimError::UnboundValue {
+            detail: format!("value v{} crosses steps without a register", value.index()),
+        };
+        Ok(self.regs[*binding.value_reg.get(value).ok_or_else(unbound)?])
     }
 }
 

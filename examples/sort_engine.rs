@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .synthesize_source(SORT)?;
 
     println!("{}", design.report());
-    println!("memories: {:?}\n", design.datapath.memories);
+    println!("memories: {:?}\n", design.datapath.vars.memories());
 
     let vectors = [
         [5.0, 1.0, 4.0, 2.0, 3.0],

@@ -19,10 +19,10 @@ use hls::Synthesizer;
 fn replay(fsm: &Fsm, datapath: &Datapath, run: &RtlResult) -> Result<u64, String> {
     let flag_of = |name: &str, regs: &[Fx]| -> Result<bool, String> {
         let r = datapath
-            .var_reg
-            .get(name)
+            .vars
+            .register(name)
             .ok_or_else(|| format!("flag `{name}` has no register"))?;
-        Ok(!regs[*r].is_zero())
+        Ok(!regs[r].is_zero())
     };
     let mut state = fsm.initial;
     let mut visited = 0u64;

@@ -35,7 +35,7 @@ fn e2_optimized_sqrt_takes_10_steps() {
         .unwrap();
     assert_eq!(design.latency, 10);
     // The narrowed counter really is a 2-bit register.
-    let i_reg = &design.datapath.regs[design.datapath.var_reg["I"]];
+    let i_reg = &design.datapath.regs[design.datapath.vars.register("I").unwrap()];
     assert_eq!(i_reg.width, 2);
 }
 
