@@ -19,14 +19,14 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use hls_cdfg::Cdfg;
 use hls_sched::Algorithm;
 
 use crate::estimate::{prune_mask, Estimator, PruneStats};
-use crate::par::{default_threads, ThreadPool};
-use crate::pipeline::{cdfg_fingerprint, ControlStyle, PreparedBehavior, Synthesizer};
+use crate::par::{default_threads, lock, ThreadPool};
+use crate::pipeline::{cdfg_fingerprint, ControlStyle, Synthesizer};
 use crate::SynthesisError;
 
 /// One explored design point.
@@ -98,6 +98,17 @@ pub struct GridPoint {
     pub control: ControlStyle,
 }
 
+impl GridPoint {
+    /// The key under which an [`Explorer`] memo-caches this point of a
+    /// sweep over `base` and the behavior fingerprinted `behavior_fp`
+    /// ([`cdfg_fingerprint`]). The shard front of `hls-serve` routes
+    /// batch points by it, so a repeated point lands on the worker whose
+    /// cache holds it.
+    pub fn key(&self, behavior_fp: u64, base: &Synthesizer) -> u64 {
+        memo_key(behavior_fp, configure(base, self).fingerprint())
+    }
+}
+
 /// A multi-dimensional sweep specification: the cartesian product
 /// FU count × scheduling algorithm × control style, explored in exactly
 /// that nesting order (`fus` outermost, `controls` innermost).
@@ -149,24 +160,14 @@ impl GridSpec {
         }
         out
     }
-
-    /// Expands the grid and collapses duplicate coordinates (an axis may
-    /// repeat a value), keeping first-occurrence order. Parallel sweeps
-    /// dispatch exactly these points; positions of
-    /// [`GridSpec::expand`]-order duplicates are filled by copying their
-    /// representative's result, so a spec-repeated point is synthesized
-    /// (and memo-cached) once, not once per repetition.
-    pub fn expand_unique(&self) -> Vec<GridPoint> {
-        dedup_points(&self.expand()).0
-    }
-
-    fn points(&self) -> Vec<GridPoint> {
-        self.expand()
-    }
 }
 
 /// Collapses duplicate coordinates: the unique points in first-occurrence
-/// order, plus one representative index per original position.
+/// order, plus one representative index per original position. The
+/// parallel grid sweep dispatches exactly these points and fills every
+/// duplicate position with its representative's result, so a
+/// spec-repeated point is synthesized (and memo-cached) once, not once
+/// per repetition.
 fn dedup_points(points: &[GridPoint]) -> (Vec<GridPoint>, Vec<usize>) {
     let mut uniq: Vec<GridPoint> = Vec::new();
     let mut index: HashMap<GridPoint, usize> = HashMap::new();
@@ -196,8 +197,8 @@ pub struct PrunedSweep {
     pub stats: PruneStats,
 }
 
-/// One record of a pruned streaming sweep
-/// ([`Explorer::sweep_points_cdfg_streaming_pruned`]).
+/// One record of a streaming sweep
+/// ([`Explorer::sweep_points_cdfg_streaming`]).
 #[derive(Clone, Debug)]
 pub enum StreamedPoint {
     /// Skipped by the estimator's dominance pre-pass — provably absent
@@ -210,6 +211,16 @@ pub enum StreamedPoint {
         /// `true` when the point was served from the memo cache.
         cache_hit: bool,
     },
+}
+
+impl StreamedPoint {
+    /// The synthesized point, or `None` for a pruned one.
+    fn into_point(self) -> Option<DesignPoint> {
+        match self {
+            StreamedPoint::Pruned => None,
+            StreamedPoint::Synthesized { point, .. } => Some(point),
+        }
+    }
 }
 
 /// Cache hit/miss counters of an [`Explorer`].
@@ -345,14 +356,6 @@ impl Drop for Claim<'_> {
     }
 }
 
-/// Locks `m`, recovering the guard if a holder panicked. Every lock in
-/// this module guards state that each update leaves valid (one insert
-/// into the memo map, one cell state assignment, one push of an actual),
-/// so a poisoned lock still holds a consistent value.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Applies a grid coordinate to the base synthesizer.
 pub(crate) fn configure(base: &Synthesizer, cfg: &GridPoint) -> Synthesizer {
     base.clone()
@@ -361,20 +364,15 @@ pub(crate) fn configure(base: &Synthesizer, cfg: &GridPoint) -> Synthesizer {
         .control(cfg.control)
 }
 
-/// Summarizes one point from a prepared behavior.
-///
-/// The grid only perturbs FU count, algorithm, and control style — none
-/// of which affect the transformation passes or the dependence/bound
-/// analysis — so every point of a sweep shares one [`PreparedBehavior`]
-/// instead of re-optimizing and re-analyzing the behavior per point.
-/// The point runs only the stages its [`DesignPoint`] reads
-/// ([`Synthesizer::summarize_prepared`]), and reports what full
-/// synthesis of it would.
-fn run_point(
-    syn: &Synthesizer,
-    prepared: &PreparedBehavior,
-) -> Result<PointSummary, SynthesisError> {
-    syn.summarize_prepared(prepared)
+/// The synthesized point of every position (`None` where pruned), or the
+/// first error in position order.
+fn collect_points(
+    outcomes: Vec<Result<StreamedPoint, SynthesisError>>,
+) -> Result<Vec<Option<DesignPoint>>, SynthesisError> {
+    outcomes
+        .into_iter()
+        .map(|out| out.map(StreamedPoint::into_point))
+        .collect()
 }
 
 /// Sweeps universal-FU counts `1..=max_fus` over `source`, returning all
@@ -419,9 +417,13 @@ pub fn sweep_grid_cdfg(
     spec: &GridSpec,
 ) -> Result<Vec<DesignPoint>, SynthesisError> {
     let prepared = base.prepare(cdfg.clone())?;
-    spec.points()
+    spec.expand()
         .iter()
-        .map(|cfg| run_point(&configure(base, cfg), &prepared).map(|s| DesignPoint::new(cfg, s)))
+        .map(|cfg| {
+            configure(base, cfg)
+                .summarize_prepared(&prepared)
+                .map(|s| DesignPoint::new(cfg, s))
+        })
         .collect()
 }
 
@@ -554,48 +556,15 @@ impl Explorer {
         spec: &GridSpec,
         cancel: &crate::CancelToken,
     ) -> Result<Vec<DesignPoint>, SynthesisError> {
-        let behavior_fp = cdfg_fingerprint(cdfg);
-        let base = Arc::new(base.clone());
-        // Passes and bound analyses run once per sweep; every grid point
-        // (and worker) shares the prepared behavior.
-        let prepared = Arc::new(base.prepare(cdfg.clone())?);
-        let cache = Arc::clone(&self.cache);
-        let cancel = cancel.clone();
         // A spec axis may repeat a value; dispatch each distinct
         // coordinate once and fan its result back out to every
         // duplicate position, so repeats never even consult the cache.
-        let (uniq, slot) = dedup_points(&spec.points());
-        let results = self.pool.map(uniq, move |_, cfg| {
-            if cancel.is_cancelled() {
-                return Err(SynthesisError::Cancelled {
-                    completed: "explore-point",
-                });
-            }
-            let syn = configure(&base, &cfg);
-            let key = memo_key(behavior_fp, syn.fingerprint());
-            cache
-                .get_or_compute(key, || run_point(&syn, &prepared))
-                .map(|(s, _)| DesignPoint::new(&cfg, s))
-        });
-        // First error in grid order, independent of completion order.
-        let mut results: Vec<Option<Result<DesignPoint, SynthesisError>>> =
-            results.into_iter().map(Some).collect();
-        let mut out = Vec::with_capacity(slot.len());
-        for &s in &slot {
-            match results[s].take() {
-                Some(Ok(p)) => {
-                    results[s] = Some(Ok(p.clone()));
-                    out.push(p);
-                }
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(SynthesisError::Explore(
-                        "duplicate grid slot resolved twice".into(),
-                    ))
-                }
-            }
-        }
-        Ok(out)
+        // The first error in first-occurrence order is also the first
+        // in grid order.
+        let (uniq, slot) = dedup_points(&spec.expand());
+        let (outcomes, _) = self.sweep(base, cdfg, uniq, false, cancel, |_, out| out)?;
+        let uniq = collect_points(outcomes)?;
+        Ok(slot.iter().filter_map(|&s| uniq[s].clone()).collect())
     }
 
     /// [`Explorer::sweep_grid_cdfg`] behind the QoR-estimator pruning
@@ -622,11 +591,12 @@ impl Explorer {
     /// synthesized. The surviving points' [`pareto_front`] is
     /// byte-identical to the exhaustive sweep's.
     ///
-    /// Caveat on *errors*: pruning decisions ignore control style (it
-    /// never affects latency or area), but hardwired controller
-    /// generation can fail where microcode cannot — a pruned point that
-    /// would have errored in the exhaustive sweep errors here only if a
-    /// surviving point shares the failure.
+    /// Caveat on *errors*: a point pruned for dominance never runs, so
+    /// an error that only it would raise goes unreported. A pruned
+    /// control-style twin is not such a point: a sweep point stops at
+    /// its summary (schedule, datapath, FSM, area), which never reads
+    /// the control style, so the twin has its survivor's outcome,
+    /// errors included.
     ///
     /// # Errors
     ///
@@ -639,78 +609,37 @@ impl Explorer {
         spec: &GridSpec,
         cancel: &crate::CancelToken,
     ) -> Result<PrunedSweep, SynthesisError> {
-        let behavior_fp = cdfg_fingerprint(cdfg);
-        let prepared = Arc::new(base.prepare(cdfg.clone())?);
-        let all = spec.points();
-        let estimates = Estimator::new(base, &prepared).estimate_points(&all);
-        let mask = prune_mask(&estimates);
-        let survivors: Vec<(usize, GridPoint)> = all
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| !mask[*i])
-            .collect();
-
-        let base = Arc::new(base.clone());
-        let cache = Arc::clone(&self.cache);
-        let cancel = cancel.clone();
-        let results = {
-            let prepared = Arc::clone(&prepared);
-            self.pool.map(survivors.clone(), move |_, (_, cfg)| {
-                if cancel.is_cancelled() {
-                    return Err(SynthesisError::Cancelled {
-                        completed: "explore-point",
-                    });
-                }
-                let syn = configure(&base, &cfg);
-                let key = memo_key(behavior_fp, syn.fingerprint());
-                cache
-                    .get_or_compute(key, || run_point(&syn, &prepared))
-                    .map(|(s, _)| DesignPoint::new(&cfg, s))
-            })
-        };
-        let points: Vec<DesignPoint> = results.into_iter().collect::<Result<_, _>>()?;
-
-        // Self-check: did every bounded estimate contain its actual?
-        let mut checked = 0usize;
-        let mut inside = 0usize;
-        for ((i, _), p) in survivors.iter().zip(&points) {
-            let e = &estimates[*i];
-            if e.bounded {
-                checked += 1;
-                if e.contains(p.latency, p.area) {
-                    inside += 1;
-                }
-            }
-        }
-        let stats = PruneStats {
-            estimated: all.len(),
-            pruned: mask.iter().filter(|&&m| m).count(),
-            synthesized: survivors.len(),
-            agreement: if checked == 0 {
-                1.0
-            } else {
-                inside as f64 / checked as f64
-            },
-        };
+        let (outcomes, stats) =
+            self.sweep(base, cdfg, spec.expand(), true, cancel, |_, out| out)?;
+        let outcomes = collect_points(outcomes)?;
         Ok(PrunedSweep {
-            points,
-            pruned: mask,
+            pruned: outcomes.iter().map(Option::is_none).collect(),
+            points: outcomes.into_iter().flatten().collect(),
             stats,
         })
     }
 
     /// Parallel, cached sweep over an *explicit* point list, invoking
-    /// `on_point` from worker threads as each point completes (in
-    /// completion order, not list order). This is the progress hook the
-    /// batch-streaming endpoint of `hls-serve` is built on: each
-    /// callback carries the point's index into `points`, and on success
-    /// the [`DesignPoint`] plus whether it was served from the memo
-    /// cache (`true`) or freshly synthesized (`false`).
+    /// `on_point` once per index of `points` as it completes. This is the
+    /// progress hook the batch-streaming endpoint of `hls-serve` is built
+    /// on.
+    ///
+    /// With `prune` set, the QoR-estimator pre-pass of
+    /// [`Explorer::sweep_grid_cdfg_pruned_cancellable`] runs first:
+    /// pruned positions call back from the caller's thread, in list
+    /// order, with [`StreamedPoint::Pruned`] before any other point runs.
+    /// Every other position synthesizes on the pool and calls back from a
+    /// worker in completion order, not list order, with
+    /// [`StreamedPoint::Synthesized`] (the [`DesignPoint`] plus whether
+    /// the memo cache served it) or its error. A repeated point is looked
+    /// up again, so its later copies report cache hits.
     ///
     /// Cancellation follows [`Explorer::sweep_grid_cdfg_cancellable`]:
     /// started points run to completion, unstarted points report
     /// [`SynthesisError::Cancelled`] through the callback.
+    ///
+    /// Returns the estimator counters; without `prune`, nothing is
+    /// estimated and every point counts as synthesized.
     ///
     /// # Errors
     ///
@@ -724,74 +653,58 @@ impl Explorer {
         base: &Synthesizer,
         cdfg: &Cdfg,
         points: Vec<GridPoint>,
-        cancel: &crate::CancelToken,
-        on_point: F,
-    ) -> Result<(), SynthesisError>
-    where
-        F: Fn(usize, Result<(DesignPoint, bool), SynthesisError>) + Send + Sync + 'static,
-    {
-        let behavior_fp = cdfg_fingerprint(cdfg);
-        let base = Arc::new(base.clone());
-        let prepared = Arc::new(base.prepare(cdfg.clone())?);
-        let cache = Arc::clone(&self.cache);
-        let cancel = cancel.clone();
-        // map() blocks until every point has called back *and* every
-        // worker has released its clone of the closure, so the caller
-        // can finalize its stream (and reclaim anything `on_point`
-        // captured) right after this returns.
-        let _ = self.pool.map(points, move |seq, cfg| {
-            if cancel.is_cancelled() {
-                on_point(
-                    seq,
-                    Err(SynthesisError::Cancelled {
-                        completed: "explore-point",
-                    }),
-                );
-                return;
-            }
-            let syn = configure(&base, &cfg);
-            let key = memo_key(behavior_fp, syn.fingerprint());
-            let out = cache
-                .get_or_compute(key, || run_point(&syn, &prepared))
-                .map(|(s, hit)| (DesignPoint::new(&cfg, s), hit));
-            on_point(seq, out);
-        });
-        Ok(())
-    }
-
-    /// [`Explorer::sweep_points_cdfg_streaming`] behind the
-    /// QoR-estimator pruning pre-pass. Pruned positions call back
-    /// immediately (from the caller's thread, in list order) with
-    /// [`StreamedPoint::Pruned`]; surviving positions synthesize on the
-    /// pool and call back in completion order with
-    /// [`StreamedPoint::Synthesized`]. Every index of `points` calls
-    /// back exactly once.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only when the behavior fails to *prepare*;
-    /// per-point failures are delivered through `on_point`.
-    pub fn sweep_points_cdfg_streaming_pruned<F>(
-        &self,
-        base: &Synthesizer,
-        cdfg: &Cdfg,
-        points: Vec<GridPoint>,
+        prune: bool,
         cancel: &crate::CancelToken,
         on_point: F,
     ) -> Result<PruneStats, SynthesisError>
     where
         F: Fn(usize, Result<StreamedPoint, SynthesisError>) + Send + Sync + 'static,
     {
+        self.sweep(base, cdfg, points, prune, cancel, on_point)
+            .map(|(_, stats)| stats)
+    }
+
+    /// The one sweep behind every parallel entry point. It prepares the
+    /// behavior once: the grid perturbs nothing the passes or the bound
+    /// analyses read, so every point shares one [`PreparedBehavior`].
+    /// With `prune` it estimates every point and calls back for the
+    /// pruned ones on this thread first. Each survivor then runs its
+    /// [`Synthesizer::summarize_prepared`] on the pool through the memo
+    /// cache, after a check of `cancel`. Returns what `on_point` returned
+    /// per position, in position order, and the counters, whose agreement
+    /// comes from the survivors' actuals. `map` returns only after every
+    /// job has released its clone of `on_point`, so a caller may finalize
+    /// what it captured right after.
+    ///
+    /// [`PreparedBehavior`]: crate::PreparedBehavior
+    fn sweep<R, F>(
+        &self,
+        base: &Synthesizer,
+        cdfg: &Cdfg,
+        points: Vec<GridPoint>,
+        prune: bool,
+        cancel: &crate::CancelToken,
+        on_point: F,
+    ) -> Result<(Vec<R>, PruneStats), SynthesisError>
+    where
+        R: Send + 'static,
+        F: Fn(usize, Result<StreamedPoint, SynthesisError>) -> R + Send + Sync + 'static,
+    {
         let behavior_fp = cdfg_fingerprint(cdfg);
         let prepared = Arc::new(base.prepare(cdfg.clone())?);
-        let estimates = Estimator::new(base, &prepared).estimate_points(&points);
+        let estimates = if prune {
+            Estimator::new(base, &prepared).estimate_points(&points)
+        } else {
+            Vec::new()
+        };
         let mask = prune_mask(&estimates);
-        let mut survivors = Vec::new();
-        for (i, (p, pruned)) in points.iter().zip(&mask).enumerate() {
-            if *pruned {
-                on_point(i, Ok(StreamedPoint::Pruned));
+        let mut out: Vec<Option<R>> = (0..points.len()).map(|_| None).collect();
+        let mut survivors = Vec::with_capacity(points.len());
+        for (i, p) in points.into_iter().enumerate() {
+            if mask.get(i).copied().unwrap_or(false) {
+                out[i] = Some(on_point(i, Ok(StreamedPoint::Pruned)));
             } else {
-                survivors.push((i, *p));
+                survivors.push((i, p));
             }
         }
         let synthesized = survivors.len();
@@ -799,54 +712,41 @@ impl Explorer {
         let base = Arc::new(base.clone());
         let cache = Arc::clone(&self.cache);
         let cancel = cancel.clone();
-        // Actual (latency, area) per surviving list index, for the
-        // agreement self-check once the pool drains.
-        let actuals: Arc<Mutex<Vec<(usize, u64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
-        {
-            let prepared = Arc::clone(&prepared);
-            let sink = Arc::clone(&actuals);
-            let _ = self.pool.map(survivors, move |_, (seq, cfg)| {
-                if cancel.is_cancelled() {
-                    on_point(
-                        seq,
-                        Err(SynthesisError::Cancelled {
-                            completed: "explore-point",
-                        }),
-                    );
-                    return;
-                }
+        let ran = self.pool.map(survivors, move |_, (i, cfg)| {
+            let result = if cancel.is_cancelled() {
+                Err(SynthesisError::Cancelled {
+                    completed: "explore-point",
+                })
+            } else {
                 let syn = configure(&base, &cfg);
                 let key = memo_key(behavior_fp, syn.fingerprint());
-                match cache.get_or_compute(key, || run_point(&syn, &prepared)) {
-                    Ok((s, hit)) => {
-                        let point = DesignPoint::new(&cfg, s);
-                        lock(&sink).push((seq, point.latency, point.area));
-                        on_point(
-                            seq,
-                            Ok(StreamedPoint::Synthesized {
-                                point,
-                                cache_hit: hit,
-                            }),
-                        );
-                    }
-                    Err(e) => on_point(seq, Err(e)),
-                }
-            });
-        }
+                cache
+                    .get_or_compute(key, || syn.summarize_prepared(&prepared))
+                    .map(|(s, cache_hit)| StreamedPoint::Synthesized {
+                        point: DesignPoint::new(&cfg, s),
+                        cache_hit,
+                    })
+            };
+            let actual = match &result {
+                Ok(StreamedPoint::Synthesized { point, .. }) => Some((point.latency, point.area)),
+                _ => None,
+            };
+            (i, actual, on_point(i, result))
+        });
 
-        let actuals = lock(&actuals);
-        let mut checked = 0usize;
-        let mut inside = 0usize;
-        for &(i, latency, area) in actuals.iter() {
-            if estimates[i].bounded {
-                checked += 1;
-                if estimates[i].contains(latency, area) {
-                    inside += 1;
+        // Self-check: did every bounded estimate contain its actual?
+        let (mut checked, mut inside) = (0usize, 0usize);
+        for (i, actual, r) in ran {
+            if let (Some((latency, area)), Some(e)) = (actual, estimates.get(i)) {
+                if e.bounded {
+                    checked += 1;
+                    inside += usize::from(e.contains(latency, area));
                 }
             }
+            out[i] = Some(r);
         }
-        Ok(PruneStats {
-            estimated: points.len(),
+        let stats = PruneStats {
+            estimated: estimates.len(),
             pruned: mask.iter().filter(|&&m| m).count(),
             synthesized,
             agreement: if checked == 0 {
@@ -854,7 +754,8 @@ impl Explorer {
             } else {
                 inside as f64 / checked as f64
             },
-        })
+        };
+        Ok((out.into_iter().flatten().collect(), stats))
     }
 }
 
@@ -865,8 +766,10 @@ impl Default for Explorer {
 }
 
 /// Combines the behavior and configuration fingerprints into one cache
-/// key (FNV-1a over both digests).
-fn memo_key(behavior_fp: u64, config_fp: u64) -> u64 {
+/// key (FNV-1a over both digests): an [`Explorer`]'s memo key of a
+/// configured point ([`GridPoint::key`]), and the key the shard front of
+/// `hls-serve` routes a single request by.
+pub fn memo_key(behavior_fp: u64, config_fp: u64) -> u64 {
     let mut w = hls_testkit::FnvWriter::new();
     w.update(&behavior_fp.to_le_bytes());
     w.update(&config_fp.to_le_bytes());
@@ -1000,18 +903,23 @@ mod tests {
             let seen: Arc<Mutex<Vec<(usize, DesignPoint, bool)>>> =
                 Arc::new(Mutex::new(Vec::new()));
             let sink = Arc::clone(&seen);
-            explorer
+            let stats = explorer
                 .sweep_points_cdfg_streaming(
                     &base,
                     &cdfg,
                     spec.expand(),
+                    false,
                     &crate::CancelToken::new(),
-                    move |seq, out| {
-                        let (p, hit) = out.expect("point synthesizes");
-                        sink.lock().unwrap().push((seq, p, hit));
+                    move |seq, out| match out.expect("point synthesizes") {
+                        StreamedPoint::Synthesized { point, cache_hit } => {
+                            sink.lock().unwrap().push((seq, point, cache_hit))
+                        }
+                        StreamedPoint::Pruned => panic!("an unpruned sweep pruned {seq}"),
                     },
                 )
                 .expect("streaming sweep");
+            assert_eq!((stats.estimated, stats.pruned), (0, 0));
+            assert_eq!(stats.synthesized, spec.len());
             let mut seen = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
             seen.sort_by_key(|(seq, _, _)| *seq);
             assert_eq!(seen.len(), spec.len(), "every point calls back once");
@@ -1038,26 +946,40 @@ mod tests {
         let cdfg = hls_lang::compile(hls_workloads::sources::SQRT).unwrap();
         let cancel = crate::CancelToken::new();
         cancel.cancel();
-        let cancelled = Arc::new(AtomicUsize::new(0));
-        let sink = Arc::clone(&cancelled);
-        explorer
-            .sweep_points_cdfg_streaming(
-                &base,
-                &cdfg,
-                GridSpec::fu_sweep(&base, 3).expand(),
-                &cancel,
-                move |_, out| {
-                    if matches!(out, Err(SynthesisError::Cancelled { .. })) {
-                        sink.fetch_add(1, Ordering::SeqCst);
-                    }
-                },
-            )
-            .expect("prepare still succeeds");
-        assert_eq!(cancelled.load(Ordering::SeqCst), 3, "all points cancelled");
+        for prune in [false, true] {
+            let cancelled = Arc::new(AtomicUsize::new(0));
+            let pruned = Arc::new(AtomicUsize::new(0));
+            let (sink, skipped) = (Arc::clone(&cancelled), Arc::clone(&pruned));
+            let stats = explorer
+                .sweep_points_cdfg_streaming(
+                    &base,
+                    &cdfg,
+                    GridSpec::fu_sweep(&base, 3).expand(),
+                    prune,
+                    &cancel,
+                    move |_, out| match out {
+                        Err(SynthesisError::Cancelled { .. }) => {
+                            sink.fetch_add(1, Ordering::SeqCst);
+                        }
+                        Ok(StreamedPoint::Pruned) => {
+                            skipped.fetch_add(1, Ordering::SeqCst);
+                        }
+                        other => panic!("a cancelled sweep reported {other:?}"),
+                    },
+                )
+                .expect("prepare still succeeds");
+            let (cancelled, pruned) = (
+                cancelled.load(Ordering::SeqCst),
+                pruned.load(Ordering::SeqCst),
+            );
+            assert_eq!(cancelled + pruned, 3, "every point calls back once");
+            assert_eq!(cancelled, stats.synthesized, "every survivor cancelled");
+            assert_eq!(pruned, stats.pruned, "prune={prune}");
+        }
     }
 
     #[test]
-    fn expand_unique_collapses_duplicates_in_first_occurrence_order() {
+    fn dedup_points_collapses_duplicates_in_first_occurrence_order() {
         let spec = GridSpec {
             fus: vec![2, 1, 2, 2],
             algorithms: vec![Algorithm::Asap],
@@ -1065,10 +987,42 @@ mod tests {
         };
         assert_eq!(spec.len(), 4, "expand keeps duplicates");
         assert_eq!(spec.expand().len(), 4);
-        let uniq = spec.expand_unique();
+        let (uniq, slot) = dedup_points(&spec.expand());
         assert_eq!(uniq.len(), 2);
         assert_eq!(uniq[0].fus, 2, "first occurrence wins the slot");
         assert_eq!(uniq[1].fus, 1);
+        assert_eq!(slot, [0, 1, 0, 0]);
+    }
+
+    /// The key a front routes a point by is the key the explorer's memo
+    /// cache holds it under.
+    #[test]
+    fn grid_point_key_is_the_memo_cache_key() {
+        let explorer = Explorer::with_threads(1);
+        let base = Synthesizer::new();
+        let cdfg = hls_lang::compile(hls_workloads::sources::SQRT).unwrap();
+        let fp = cdfg_fingerprint(&cdfg);
+        let p = GridPoint {
+            fus: 2,
+            algorithm: Algorithm::Asap,
+            control: ControlStyle::Hardwired(hls_ctrl::EncodingStyle::Binary),
+        };
+        let q = GridPoint { fus: 3, ..p };
+        assert_eq!(p.key(fp, &base), p.key(fp, &base));
+        assert_ne!(p.key(fp, &base), q.key(fp, &base));
+        explorer
+            .sweep_points_cdfg_streaming(
+                &base,
+                &cdfg,
+                vec![p],
+                false,
+                &crate::CancelToken::new(),
+                |_, _| {},
+            )
+            .unwrap();
+        let map = lock(&explorer.cache.map);
+        assert!(map.contains_key(&p.key(fp, &base)));
+        assert!(!map.contains_key(&q.key(fp, &base)));
     }
 
     #[test]
@@ -1156,16 +1110,14 @@ mod tests {
         let seen: Arc<Mutex<SeenLog>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let stats = explorer
-            .sweep_points_cdfg_streaming_pruned(
+            .sweep_points_cdfg_streaming(
                 &base,
                 &cdfg,
                 spec.expand(),
+                true,
                 &crate::CancelToken::new(),
                 move |seq, out| {
-                    let p = match out.expect("point synthesizes") {
-                        StreamedPoint::Pruned => None,
-                        StreamedPoint::Synthesized { point, .. } => Some(point),
-                    };
+                    let p = out.expect("point synthesizes").into_point();
                     sink.lock().unwrap().push((seq, p));
                 },
             )
@@ -1228,7 +1180,7 @@ mod tests {
         };
         assert_eq!(spec.len(), 4);
         assert!(!spec.is_empty());
-        let pts = spec.points();
+        let pts = spec.expand();
         assert_eq!(pts[0].fus, 1);
         assert_eq!(pts[0].algorithm, Algorithm::Asap);
         assert_eq!(pts[1].algorithm, Algorithm::List(Priority::Urgency));

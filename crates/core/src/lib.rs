@@ -28,8 +28,8 @@ mod system;
 
 pub use estimate::{prune_mask, Estimator, PruneStats, QorEstimate};
 pub use explore::{
-    pareto_front, sweep_fus, sweep_grid, sweep_grid_cdfg, CacheStats, DesignPoint, Explorer,
-    GridPoint, GridSpec, PrunedSweep, StreamedPoint,
+    memo_key, pareto_front, sweep_fus, sweep_grid, sweep_grid_cdfg, CacheStats, DesignPoint,
+    Explorer, GridPoint, GridSpec, PrunedSweep, StreamedPoint,
 };
 pub use pipeline::{
     cdfg_fingerprint, CancelToken, ControlReport, ControlStyle, PreparedBehavior, StageNanos,

@@ -7,4 +7,4 @@
 //! `hls_core::par` path working for existing callers (`hls-serve`, the
 //! explorer, examples).
 
-pub use hls_par::{default_threads, shared, ThreadPool};
+pub use hls_par::{default_threads, lock, shared, ThreadPool};

@@ -25,8 +25,8 @@ use std::sync::{Arc, Mutex};
 use hls_alloc::{CliqueMethod, FuStrategy};
 use hls_cdfg::Cdfg;
 use hls_core::{
-    sweep_grid_cdfg, CancelToken, ControlStyle, DesignPoint, Explorer, GridSpec, SynthesisResult,
-    Synthesizer,
+    sweep_grid_cdfg, CancelToken, ControlStyle, DesignPoint, Explorer, GridSpec, StreamedPoint,
+    SynthesisResult, Synthesizer,
 };
 use hls_ctrl::EncodingStyle;
 use hls_fuzz::corpus::{Case, Mode};
@@ -159,10 +159,22 @@ fn streamed(base: &Synthesizer, cdfg: &Cdfg, spec: &GridSpec) -> Vec<Outcome> {
     let seen: Arc<Mutex<Vec<Option<Outcome>>>> = Arc::new(Mutex::new(vec![None; points.len()]));
     let sink = Arc::clone(&seen);
     Explorer::with_threads(2)
-        .sweep_points_cdfg_streaming(base, cdfg, points, &CancelToken::new(), move |i, out| {
-            let out = out.map(|(p, _)| summary(&p)).map_err(|e| e.to_string());
-            sink.lock().unwrap()[i] = Some(out);
-        })
+        .sweep_points_cdfg_streaming(
+            base,
+            cdfg,
+            points,
+            false,
+            &CancelToken::new(),
+            move |i, out| {
+                let out = out
+                    .map(|p| match p {
+                        StreamedPoint::Synthesized { point, .. } => summary(&point),
+                        StreamedPoint::Pruned => panic!("an unpruned sweep pruned point {i}"),
+                    })
+                    .map_err(|e| e.to_string());
+                sink.lock().unwrap()[i] = Some(out);
+            },
+        )
         .unwrap();
     let seen = std::mem::take(&mut *seen.lock().unwrap());
     seen.into_iter()

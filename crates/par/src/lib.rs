@@ -9,10 +9,13 @@
 //! minimum that both need with `std::thread` + channels:
 //!
 //! * one deque per worker, submissions distributed round-robin;
-//! * workers pop their own deque LIFO (cache-warm) and steal FIFO from
-//!   the other deques when empty (oldest work first, the classic
-//!   Chase–Lev discipline, here under short critical sections instead of
-//!   lock-free buffers);
+//! * workers pop their own deque oldest-first, so each worker starts its
+//!   share of a [`ThreadPool::map`] in input order and a caller streaming
+//!   results in order (a batch endpoint) can emit the first ones while
+//!   the rest run; a worker whose deque is empty steals oldest-first from
+//!   the others, all under short critical sections. (Newest-first pays
+//!   off when a job pushes its own children, which share its data; no
+//!   job in this workspace submits to the pool it runs on.)
 //! * a condvar parks idle workers; a pending-job counter closes the
 //!   check-then-sleep race so no submission is ever missed;
 //! * [`ThreadPool::map`] preserves input order regardless of which
@@ -48,7 +51,7 @@ use std::thread::JoinHandle;
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Shared {
-    /// One deque per worker. Owner pops the back; thieves pop the front.
+    /// One deque per worker. Owner and thieves both pop the front.
     queues: Vec<Mutex<VecDeque<Job>>>,
     /// Jobs submitted but not yet started; guards the sleep race.
     pending: AtomicUsize,
@@ -76,10 +79,12 @@ const MAX_SPARE: usize = 8;
 /// Idle pools parked by dropped recycled pools, oldest first.
 static SPARE: Mutex<Vec<ThreadPool>> = Mutex::new(Vec::new());
 
-/// Locks `m`, recovering the guard from a panicked holder: every critical
-/// section here is one push, pop or removal, or a flag check, so the
-/// state stays valid.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks `m`, recovering the guard if a holder panicked. Use it for state
+/// that each update under the lock leaves valid (one push, pop, insert or
+/// assignment), so one panicking holder never fails every later caller.
+/// The pool's own critical sections are all of that kind, and hls-core
+/// and hls-serve lock through it too.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -319,13 +324,9 @@ fn worker_loop(id: usize, shared: &Shared) {
 }
 
 fn find_job(id: usize, shared: &Shared) -> Option<Job> {
-    // Own deque first, newest job (LIFO): it is the cache-warm one.
-    if let Some(job) = lock(&shared.queues[id]).pop_back() {
-        return Some(job);
-    }
-    // Steal oldest-first from the other deques.
+    // Own deque first, then the others; oldest job first everywhere.
     let n = shared.queues.len();
-    (1..n).find_map(|off| lock(&shared.queues[(id + off) % n]).pop_front())
+    (0..n).find_map(|off| lock(&shared.queues[(id + off) % n]).pop_front())
 }
 
 #[cfg(test)]
@@ -378,6 +379,39 @@ mod tests {
             rx.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
         }
         assert_eq!(hits.load(Ordering::SeqCst), 500);
+    }
+
+    /// A worker starts the jobs queued on its own deque oldest-first, so
+    /// `map`'s items start in input order even when they were all queued
+    /// while the worker was busy.
+    #[test]
+    fn own_deque_starts_queued_items_in_input_order() {
+        let pool = ThreadPool::new(1);
+        let (busy_tx, busy_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        pool.execute(move || {
+            busy_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        busy_rx.recv().unwrap();
+        let started = std::thread::scope(|s| {
+            let mapper = s.spawn(|| {
+                let order = Arc::new(Mutex::new(Vec::new()));
+                let sink = Arc::clone(&order);
+                pool.map((0..4u32).collect(), move |_, x| {
+                    sink.lock().unwrap().push(x)
+                });
+                let started = order.lock().unwrap().clone();
+                started
+            });
+            // Every item is queued before the worker is free to start one.
+            while pool.shared.pending.load(Ordering::SeqCst) < 4 {
+                std::thread::yield_now();
+            }
+            release_tx.send(()).unwrap();
+            mapper.join().unwrap()
+        });
+        assert_eq!(started, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use hls_cdfg::SystemCdfg;
 use hls_core::{
     cdfg_fingerprint, pareto_front, CancelToken, ControlReport, ControlStyle, DeadlockVerdict,
-    DesignPoint, GridPoint, GridSpec, ProcessSynthesis, PruneStats, PrunedSweep, SynthesisError,
+    DesignPoint, GridPoint, GridSpec, ProcessSynthesis, PruneStats, SynthesisError,
     SynthesisResult, Synthesizer, SystemSynthesisResult,
 };
 use hls_ctrl::EncodingStyle;
@@ -640,9 +640,18 @@ fn point_json(p: &DesignPoint) -> Json {
     ])
 }
 
-/// Builds the deterministic response body for one exploration sweep.
-pub fn explore_response(points: &[DesignPoint], behavior_fp: u64, config_fp: u64) -> Json {
-    Json::Obj(vec![
+/// Builds the deterministic response body for one exploration sweep:
+/// the points, their Pareto front and, for a pruned sweep, the estimator
+/// counters under `"prune_stats"`. A pruned sweep's points are its
+/// synthesized (surviving) ones, and its front is by construction
+/// identical to the exhaustive sweep's.
+pub fn explore_response(
+    points: &[DesignPoint],
+    stats: Option<&PruneStats>,
+    behavior_fp: u64,
+    config_fp: u64,
+) -> Json {
+    let mut body = vec![
         (
             "points".into(),
             Json::Arr(points.iter().map(point_json).collect()),
@@ -651,14 +660,18 @@ pub fn explore_response(points: &[DesignPoint], behavior_fp: u64, config_fp: u64
             "pareto".into(),
             Json::Arr(pareto_front(points).iter().map(point_json).collect()),
         ),
-        (
-            "fingerprints".into(),
-            Json::Obj(vec![
-                ("cdfg".into(), hex_fp(behavior_fp)),
-                ("config".into(), hex_fp(config_fp)),
-            ]),
-        ),
-    ])
+    ];
+    if let Some(stats) = stats {
+        body.push(("prune_stats".into(), prune_stats_json(stats)));
+    }
+    body.push((
+        "fingerprints".into(),
+        Json::Obj(vec![
+            ("cdfg".into(), hex_fp(behavior_fp)),
+            ("config".into(), hex_fp(config_fp)),
+        ]),
+    ));
+    Json::Obj(body)
 }
 
 /// Renders estimator/pruning counters as a JSON object.
@@ -668,31 +681,6 @@ fn prune_stats_json(stats: &PruneStats) -> Json {
         ("pruned".into(), Json::Num(stats.pruned as f64)),
         ("synthesized".into(), Json::Num(stats.synthesized as f64)),
         ("agreement".into(), Json::Num(stats.agreement)),
-    ])
-}
-
-/// Builds the deterministic response body for one *pruned* exploration
-/// sweep: the synthesized (surviving) points, the Pareto front — by
-/// construction identical to the exhaustive sweep's front — and the
-/// estimator counters under `"prune_stats"`.
-pub fn explore_response_pruned(sweep: &PrunedSweep, behavior_fp: u64, config_fp: u64) -> Json {
-    Json::Obj(vec![
-        (
-            "points".into(),
-            Json::Arr(sweep.points.iter().map(point_json).collect()),
-        ),
-        (
-            "pareto".into(),
-            Json::Arr(pareto_front(&sweep.points).iter().map(point_json).collect()),
-        ),
-        ("prune_stats".into(), prune_stats_json(&sweep.stats)),
-        (
-            "fingerprints".into(),
-            Json::Obj(vec![
-                ("cdfg".into(), hex_fp(behavior_fp)),
-                ("config".into(), hex_fp(config_fp)),
-            ]),
-        ),
     ])
 }
 

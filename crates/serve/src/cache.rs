@@ -16,6 +16,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
+use hls_core::par::lock;
+
 /// A bounded FIFO map from content key to rendered response body.
 #[derive(Debug)]
 pub struct ResponseCache {
@@ -40,12 +42,7 @@ impl ResponseCache {
 
     /// Looks up a body by key.
     pub fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
-        self.inner
-            .lock()
-            .expect("cache lock")
-            .map
-            .get(&key)
-            .cloned()
+        lock(&self.inner).map.get(&key).cloned()
     }
 
     /// Inserts a body, evicting the oldest entry at capacity.
@@ -53,7 +50,7 @@ impl ResponseCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = lock(&self.inner);
         if inner.map.contains_key(&key) {
             return; // deterministic bodies: first insert is as good as any
         }
@@ -71,7 +68,7 @@ impl ResponseCache {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").map.len()
+        lock(&self.inner).map.len()
     }
 
     /// `true` when nothing is cached.

@@ -35,10 +35,10 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hls_core::par::ThreadPool;
+use hls_core::par::{lock, ThreadPool};
 use hls_core::CancelToken;
 
 use crate::api::{self, ApiError};
@@ -81,15 +81,18 @@ impl Core {
         let before = self.inflight.fetch_sub(1, Ordering::SeqCst);
         self.metrics.queue_left(before.saturating_sub(1));
         if before == 1 {
-            let _guard = self.idle.lock().expect("idle lock");
+            let _guard = lock(&self.idle);
             self.idle_cv.notify_all();
         }
     }
 
     fn wait_idle(&self) {
-        let mut guard = self.idle.lock().expect("idle lock");
+        let mut guard = lock(&self.idle);
         while self.inflight.load(Ordering::SeqCst) > 0 {
-            guard = self.idle_cv.wait(guard).expect("idle wait");
+            guard = self
+                .idle_cv
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -420,7 +423,7 @@ impl NdjsonEmitter {
     /// Queues the record at `pos` and flushes every now-contiguous one.
     pub(crate) fn push(&self, pos: usize, mut line: Vec<u8>) {
         line.push(b'\n');
-        let mut g = self.inner.lock().expect("emitter lock");
+        let mut g = lock(&self.inner);
         if g.failed {
             return;
         }
@@ -445,7 +448,7 @@ impl NdjsonEmitter {
     /// Writes the terminal line and the chunked terminator; `false` if
     /// the client disconnected at any point.
     pub(crate) fn finish(&self, terminal: &[u8]) -> bool {
-        let mut g = self.inner.lock().expect("emitter lock");
+        let mut g = lock(&self.inner);
         if g.failed {
             return false;
         }
@@ -459,6 +462,6 @@ impl NdjsonEmitter {
     }
 
     pub(crate) fn has_failed(&self) -> bool {
-        self.inner.lock().expect("emitter lock").failed
+        lock(&self.inner).failed
     }
 }

@@ -12,6 +12,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use hls_core::par::lock;
+
 /// Histogram bucket upper bounds, in seconds.
 const BUCKETS: [f64; 11] = [
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
@@ -100,10 +102,7 @@ impl Metrics {
 
     /// Records one finished request.
     pub fn observe_request(&self, endpoint: &str, status: u16, elapsed: Duration) {
-        *self
-            .requests
-            .lock()
-            .expect("metrics lock")
+        *lock(&self.requests)
             .entry((endpoint.to_string(), status))
             .or_insert(0) += 1;
         match endpoint {
@@ -117,10 +116,7 @@ impl Metrics {
     /// Records a request the front routed to `worker` (shard index or
     /// address label).
     pub fn shard_request(&self, worker: &str) {
-        *self
-            .shard_requests
-            .lock()
-            .expect("metrics lock")
+        *lock(&self.shard_requests)
             .entry(worker.to_string())
             .or_insert(0) += 1;
     }
@@ -247,7 +243,7 @@ impl Metrics {
         let mut out = String::new();
         out.push_str("# HELP hls_requests_total Finished requests by endpoint and status.\n");
         out.push_str("# TYPE hls_requests_total counter\n");
-        for ((endpoint, status), count) in self.requests.lock().expect("metrics lock").iter() {
+        for ((endpoint, status), count) in lock(&self.requests).iter() {
             let _ = writeln!(
                 out,
                 "hls_requests_total{{endpoint=\"{endpoint}\",status=\"{status}\"}} {count}"
@@ -325,7 +321,7 @@ impl Metrics {
             );
         }
         {
-            let shard = self.shard_requests.lock().expect("metrics lock");
+            let shard = lock(&self.shard_requests);
             if !shard.is_empty() {
                 out.push_str(
                     "# HELP hls_serve_shard_requests_total Requests routed to each shard worker.\n\

@@ -14,7 +14,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use hls_core::par::default_threads;
+use hls_core::par::{default_threads, lock};
 use hls_core::{
     cdfg_fingerprint, CancelToken, DesignPoint, Explorer, GridPoint, StreamedPoint, SynthesisError,
 };
@@ -344,7 +344,7 @@ fn explore(req: &Request, ctx: &Ctx) -> Response {
     let key = response_key("explore", behavior_fp, config_fp, spec_fp);
     cached(ctx, key, || {
         let fail = |e: SynthesisError| synthesis_error_response(&e, ctx);
-        let body = if parsed.prune {
+        let (points, stats) = if parsed.prune {
             let sweep = ctx
                 .explorer
                 .sweep_grid_cdfg_pruned_cancellable(
@@ -355,15 +355,19 @@ fn explore(req: &Request, ctx: &Ctx) -> Response {
                 )
                 .map_err(fail)?;
             ctx.metrics.points_pruned(sweep.stats.pruned as u64);
-            api::explore_response_pruned(&sweep, behavior_fp, config_fp)
+            (sweep.points, Some(sweep.stats))
         } else {
             let points = ctx
                 .explorer
                 .sweep_grid_cdfg_cancellable(&parsed.synthesizer, &cdfg, &parsed.spec, &cancel)
                 .map_err(fail)?;
-            api::explore_response(&points, behavior_fp, config_fp)
+            (points, None)
         };
-        Ok(body.render().into_bytes())
+        Ok(
+            api::explore_response(&points, stats.as_ref(), behavior_fp, config_fp)
+                .render()
+                .into_bytes(),
+        )
     })
 }
 
@@ -424,82 +428,52 @@ fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
     if delay > 0 {
         std::thread::sleep(Duration::from_millis(delay));
     }
-    // One record per grid point, by local index; both sweep flavors
-    // report through it.
+    // One record per grid point, by local index.
     let record = {
         let emitter = Arc::clone(&emitter);
         let completed = Arc::clone(&completed);
         let seqs: Vec<u64> = parsed.points.iter().map(|(s, _)| *s).collect();
         let points = points.clone();
         let metrics = Arc::clone(&ctx.metrics);
-        Arc::new(
-            move |idx: usize, res: Result<StreamedPoint, SynthesisError>| {
-                // Test-only pacing: holds this pool worker per point so
-                // tests can observe mid-batch state deterministically.
-                if delay > 0 {
-                    std::thread::sleep(Duration::from_millis(delay));
+        move |idx: usize, res: Result<StreamedPoint, SynthesisError>| {
+            // Test-only pacing: holds this pool worker per point so
+            // tests can observe mid-batch state deterministically.
+            if delay > 0 {
+                std::thread::sleep(Duration::from_millis(delay));
+            }
+            let seq = seqs[idx];
+            let line = match res {
+                Ok(StreamedPoint::Pruned) => {
+                    metrics.points_pruned(1);
+                    api::batch_pruned_record(seq, &points[idx])
                 }
-                let seq = seqs[idx];
-                let line = match res {
-                    Ok(StreamedPoint::Pruned) => {
-                        metrics.points_pruned(1);
-                        api::batch_pruned_record(seq, &points[idx])
-                    }
-                    Ok(StreamedPoint::Synthesized { point, cache_hit }) => {
-                        metrics.batch_point(if cache_hit {
-                            BatchOutcome::Hit
-                        } else {
-                            BatchOutcome::Miss
-                        });
-                        let line = api::batch_point_record(seq, cache_hit, &points[idx], &point);
-                        completed
-                            .lock()
-                            .expect("results lock")
-                            .push((seq, point, cache_hit));
-                        line
-                    }
-                    Err(e) => {
-                        metrics.batch_point(BatchOutcome::Error);
-                        batch_error_line(seq, &e)
-                    }
-                };
-                emitter.push(idx, line.render().into_bytes());
-            },
-        )
+                Ok(StreamedPoint::Synthesized { point, cache_hit }) => {
+                    metrics.batch_point(if cache_hit {
+                        BatchOutcome::Hit
+                    } else {
+                        BatchOutcome::Miss
+                    });
+                    let line = api::batch_point_record(seq, cache_hit, &points[idx], &point);
+                    lock(&completed).push((seq, point, cache_hit));
+                    line
+                }
+                Err(e) => {
+                    metrics.batch_point(BatchOutcome::Error);
+                    batch_error_line(seq, &e)
+                }
+            };
+            emitter.push(idx, line.render().into_bytes());
+        }
     };
-    let swept = if parsed.prune {
-        let record = Arc::clone(&record);
-        ctx.explorer
-            .sweep_points_cdfg_streaming_pruned(
-                &parsed.synthesizer,
-                &cdfg,
-                points,
-                &cancel,
-                move |idx, res| record(idx, res),
-            )
-            .map(|stats| Some(stats.pruned))
-    } else {
-        let record = Arc::clone(&record);
-        ctx.explorer
-            .sweep_points_cdfg_streaming(
-                &parsed.synthesizer,
-                &cdfg,
-                points,
-                &cancel,
-                move |idx, res| {
-                    record(
-                        idx,
-                        res.map(|(point, cache_hit)| StreamedPoint::Synthesized {
-                            point,
-                            cache_hit,
-                        }),
-                    )
-                },
-            )
-            .map(|()| None)
-    };
-    let pruned = match swept {
-        Ok(pruned) => pruned,
+    let stats = match ctx.explorer.sweep_points_cdfg_streaming(
+        &parsed.synthesizer,
+        &cdfg,
+        points,
+        parsed.prune,
+        &cancel,
+        record,
+    ) {
+        Ok(stats) => stats,
         Err(e) => {
             // Shared preparation failed before any point ran: the chunked
             // head is already on the wire, so the error goes out as the
@@ -511,7 +485,8 @@ fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
             return 200;
         }
     };
-    let completed = std::mem::take(&mut *completed.lock().expect("results lock"));
+    let pruned = parsed.prune.then_some(stats.pruned);
+    let completed = std::mem::take(&mut *lock(&completed));
     let summary = api::batch_summary(n, completed, pruned)
         .render()
         .into_bytes();

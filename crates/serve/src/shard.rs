@@ -2,10 +2,12 @@
 //!
 //! A front process (`hls-serve --front --workers N`) owns the public
 //! listener and fans requests out to N single-process workers. Requests
-//! are routed by consistent-hashing the same cdfg×config fingerprint
-//! pair the workers use for their response and memo caches, so a given
-//! behavior+configuration always lands on the same worker and cache
-//! affinity falls out of the routing for free.
+//! are routed by consistent-hashing hls-core's memo key of their
+//! behavior and configuration ([`hls_core::memo_key`], and
+//! [`GridPoint::key`] per batch point), the key a worker's explorer
+//! caches a point under, so a given behavior+configuration always lands
+//! on the same worker and cache affinity falls out of the routing for
+//! free.
 //!
 //! - **Single requests** (`/v1/synthesize`, `/v1/explore`) are
 //!   proxied verbatim: one upstream connection per request, the worker's
@@ -35,10 +37,11 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use hls_core::{cdfg_fingerprint, CancelToken, DesignPoint, GridPoint, Synthesizer};
+use hls_core::par::lock;
+use hls_core::{cdfg_fingerprint, memo_key, CancelToken, DesignPoint, GridPoint};
 use hls_sched::Algorithm;
 
 use crate::api;
@@ -53,26 +56,6 @@ use crate::ServerConfig;
 /// Virtual nodes per worker on the hash ring: enough that removing one
 /// worker spreads its keyspace evenly over the survivors.
 const VNODES: usize = 64;
-
-/// FNV-1a over a pair of fingerprints: the shard routing key.
-pub fn shard_key(behavior_fp: u64, config_fp: u64) -> u64 {
-    let mut w = hls_testkit::FnvWriter::new();
-    w.update(&behavior_fp.to_le_bytes());
-    w.update(&config_fp.to_le_bytes());
-    w.finish()
-}
-
-/// The per-point routing key of one batch grid point: the same
-/// cdfg×config pair a worker's exploration memo cache folds, so
-/// repeating a batch re-routes every point to the worker that already
-/// holds it.
-pub fn point_key(behavior_fp: u64, base: &Synthesizer, p: &GridPoint) -> u64 {
-    let mut cfg = base.clone();
-    cfg.set_universal_fus(p.fus);
-    cfg.set_algorithm(p.algorithm);
-    cfg.set_control(p.control);
-    shard_key(behavior_fp, cfg.fingerprint())
-}
 
 /// A consistent-hash ring over worker indices.
 ///
@@ -355,7 +338,7 @@ fn request_key(req: &Request) -> u64 {
             Err(_) => return fallback(),
         }
     };
-    shard_key(behavior_fp, parsed.synthesizer.fingerprint())
+    memo_key(behavior_fp, parsed.synthesizer.fingerprint())
 }
 
 /// Proxies one single-shot request to its routed worker, re-hashing past
@@ -556,11 +539,7 @@ fn dispatch_sub_batch(
                         } else {
                             BatchOutcome::Miss
                         });
-                        progress
-                            .completed
-                            .lock()
-                            .expect("progress lock")
-                            .push((record.seq, dp, hit));
+                        lock(&progress.completed).push((record.seq, dp, hit));
                     }
                     RecordOutcome::Pruned => {
                         ctx.metrics.points_pruned(1);
@@ -640,9 +619,8 @@ fn front_batch(req: &Request, stream: &mut TcpStream, ctx: &FrontCtx) -> u16 {
         for (seq, p) in todo.drain(..) {
             match ctx
                 .ring
-                .route(point_key(behavior_fp, &parsed.synthesizer, &p), |i| {
-                    ctx.is_alive(i)
-                }) {
+                .route(p.key(behavior_fp, &parsed.synthesizer), |i| ctx.is_alive(i))
+            {
                 Some(w) => groups.entry(w).or_default().push((seq, p)),
                 None => unroutable.push((seq, p)),
             }
@@ -692,7 +670,10 @@ fn front_batch(req: &Request, stream: &mut TcpStream, ctx: &FrontCtx) -> u16 {
         ctx.metrics.batch_cancelled();
         return 499;
     }
-    let completed = progress.completed.into_inner().expect("progress lock");
+    let completed = progress
+        .completed
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     let pruned = parsed.prune.then(|| progress.pruned.load(Ordering::SeqCst));
     let summary = api::batch_summary(n, completed, pruned)
         .render()
@@ -757,7 +738,11 @@ pub fn spawn_worker(exe: &Path, extra_env: &[(String, String)]) -> io::Result<Sp
     }
     let mut child = cmd.spawn()?;
     let stdin = child.stdin.take();
-    let stderr = child.stderr.take().expect("piped stderr");
+    let Some(stderr) = child.stderr.take() else {
+        let _ = child.kill();
+        let _ = child.wait();
+        return Err(io::Error::other("worker stderr was not piped"));
+    };
     let mut reader = BufReader::new(stderr);
     let addr = loop {
         let mut line = String::new();
@@ -815,9 +800,6 @@ pub fn spawn_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hls_core::ControlStyle;
-    use hls_ctrl::EncodingStyle;
-    use hls_sched::Algorithm;
 
     #[test]
     fn ring_routes_deterministically_and_covers_all_workers() {
@@ -853,21 +835,6 @@ mod tests {
         assert_ne!(fallback, primary);
         // No live workers: no route.
         assert_eq!(ring.route(key, |_| false), None);
-    }
-
-    #[test]
-    fn point_key_matches_repeat_routing() {
-        let base = Synthesizer::new();
-        let cdfg = hls_lang::compile(hls_workloads::sources::SQRT).unwrap();
-        let fp = cdfg_fingerprint(&cdfg);
-        let p = GridPoint {
-            fus: 2,
-            algorithm: Algorithm::Asap,
-            control: ControlStyle::Hardwired(EncodingStyle::Binary),
-        };
-        assert_eq!(point_key(fp, &base, &p), point_key(fp, &base, &p));
-        let q = GridPoint { fus: 3, ..p };
-        assert_ne!(point_key(fp, &base, &p), point_key(fp, &base, &q));
     }
 
     #[test]
